@@ -6,7 +6,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::sync::Arc;
 use std::time::Duration;
-use tricluster_core::obs::httpd::{http_get, http_get_retry, MetricsServer};
+use tricluster_core::obs::httpd::{http_get, http_get_retry, scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{
     content_hash, diff_reports, DiffTolerances, IndexEntry, Ledger, NewEntry,
@@ -14,7 +14,7 @@ use tricluster_core::obs::ledger::{
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::{Progress, ProgressSink, ProgressTicker};
 use tricluster_core::obs::timeline::Timeline;
-use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink, NullSink, Recorder, Tee};
+use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink, NullSink, Recorder};
 use tricluster_core::runreport;
 use tricluster_core::{
     cluster_metrics_observed, mine_auto_observed, mine_shifting, Engine, FanoutMode, MergeParams,
@@ -402,7 +402,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     // serve thread, so the endpoint dies with the mine.
     let _metrics_server = match (&metrics_addr, &registry) {
         (Some(addr), Some(registry)) => {
-            let server = MetricsServer::serve(addr, registry.clone())
+            let server = HttpServer::serve(addr, 0, scrape_handler(registry.clone()))
                 .map_err(|e| CliError::Run(format!("cannot serve metrics on {addr}: {e}")))?;
             eprintln!("metrics: serving on {}", server.url());
             Some(server)
@@ -507,12 +507,12 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     let mut report = result.report.clone();
     let met = if report_json.is_some() || ledger_dir.is_some() {
         let rec = Recorder::new();
-        // Tee the metrics phase into the live registry too, so a final
+        // Fan the metrics phase into the live registry too, so a final
         // scrape (the server outlives the mine) sees `phase.metrics`.
         let met = match &registry {
             Some(r) => {
-                let tee = Tee(&rec, &**r);
-                cluster_metrics_observed(matrix, &result.triclusters, &tee)
+                let fan = Fanout(vec![&rec, &**r]);
+                cluster_metrics_observed(matrix, &result.triclusters, &fan)
             }
             None => cluster_metrics_observed(matrix, &result.triclusters, &rec),
         };
@@ -1228,6 +1228,10 @@ mod tests {
     use super::*;
     use tricluster_core::obs::json::Json;
 
+    // Failpoints are process-global: every test that mines or serves holds
+    // `tricluster_failpoint::scenario()`, so a site armed by a
+    // fault-injection test never fires inside a concurrent test.
+
     fn parse_mine(argv: &[&str]) -> args::Args {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
         args::parse(
@@ -1375,6 +1379,7 @@ mod tests {
 
     #[test]
     fn demo_runs() {
+        let _scenario = tricluster_failpoint::scenario();
         demo(&[]).unwrap();
     }
 
@@ -1383,6 +1388,7 @@ mod tests {
     /// points `mine --metrics-addr` at.
     #[test]
     fn demo_exports_a_mineable_table1_tsv() {
+        let _scenario = tricluster_failpoint::scenario();
         let dir = std::env::temp_dir().join(format!("tricluster-demo-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("table1.tsv");
@@ -1469,6 +1475,7 @@ mod tests {
 
     #[test]
     fn report_json_is_written_and_deterministic() {
+        let _scenario = tricluster_failpoint::scenario();
         let dir =
             std::env::temp_dir().join(format!("tricluster-report-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1571,6 +1578,7 @@ mod tests {
     /// `mine --report-json` run must produce a valid, populated v2 report.
     #[test]
     fn report_json_matches_v2_schema() {
+        let _scenario = tricluster_failpoint::scenario();
         let doc = mined_report("schema", &[]);
         runreport::validate_v2(&doc).unwrap();
         assert!(
@@ -1583,6 +1591,7 @@ mod tests {
     /// machine-readable truncation reason.
     #[test]
     fn truncated_report_carries_reason() {
+        let _scenario = tricluster_failpoint::scenario();
         let doc = mined_report("truncated", &["--max-candidates", "1"]);
         runreport::validate_v2(&doc).unwrap();
         assert_eq!(doc.get("truncated").unwrap().as_bool(), Some(true));
@@ -1597,6 +1606,7 @@ mod tests {
     /// present (and still the same JSON type) in a v2 document.
     #[test]
     fn report_v2_is_backward_compatible_with_v1_readers() {
+        let _scenario = tricluster_failpoint::scenario();
         let doc = mined_report("v1compat", &[]);
         let v1_u64_keys = [
             &["matrix", "genes"][..],
@@ -1640,6 +1650,7 @@ mod tests {
     /// pipeline phase, and slice work attributed to a worker track.
     #[test]
     fn trace_out_writes_valid_chrome_trace() {
+        let _scenario = tricluster_failpoint::scenario();
         use std::collections::HashMap;
         let dir =
             std::env::temp_dir().join(format!("tricluster-trace-test-{}", std::process::id()));
@@ -1791,6 +1802,7 @@ mod tests {
     /// stopped short.
     #[test]
     fn trace_out_survives_deadline_truncation() {
+        let _scenario = tricluster_failpoint::scenario();
         use std::collections::HashMap;
         let dir = std::env::temp_dir().join(format!(
             "tricluster-trunc-trace-test-{}",
@@ -1837,6 +1849,7 @@ mod tests {
     /// accumulated self time agrees with the report's span stats.
     #[test]
     fn flame_out_structure_matches_report_spans() {
+        let _scenario = tricluster_failpoint::scenario();
         use std::collections::BTreeMap;
         let dir =
             std::env::temp_dir().join(format!("tricluster-flame-test-{}", std::process::id()));
@@ -1916,15 +1929,15 @@ mod tests {
         let run = || {
             mine(&[data.clone(), "--ledger".into(), ldir.clone()]).unwrap();
         };
+        // Held for both runs: a concurrent test's armed delay must not
+        // slow the baseline.
+        let _scenario = tricluster_failpoint::scenario();
         run();
-        {
-            let _scenario = tricluster_failpoint::scenario();
-            tricluster_failpoint::configure(
-                "core.tricluster.phase",
-                tricluster_failpoint::Action::Delay(Duration::from_millis(400)),
-            );
-            run();
-        }
+        tricluster_failpoint::configure(
+            "core.tricluster.phase",
+            tricluster_failpoint::Action::Delay(Duration::from_millis(400)),
+        );
+        run();
         let ledger = Ledger::open(&ledger_path).unwrap();
         let entries = ledger.list().unwrap();
         assert_eq!(entries.len(), 2, "{entries:?}");
@@ -2135,6 +2148,7 @@ mod tests {
     /// byte-identically (same list the bench determinism gate pins).
     #[test]
     fn deterministic_sections_unchanged_by_metrics() {
+        let _scenario = tricluster_failpoint::scenario();
         let dir =
             std::env::temp_dir().join(format!("tricluster-metrics-det-{}", std::process::id()));
         let data = synth_into(&dir);
@@ -2188,10 +2202,11 @@ mod tests {
     /// goes away, then exits 0 (that is what a finished run looks like).
     #[test]
     fn watch_polls_until_the_server_goes_away() {
+        let _scenario = tricluster_failpoint::scenario();
         let registry = Arc::new(Registry::new());
         let progress = Arc::new(Progress::new());
         registry.attach_progress(progress);
-        let server = MetricsServer::serve("127.0.0.1:0", registry).unwrap();
+        let server = HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry)).unwrap();
         let url = server.url();
         let handle = std::thread::spawn(move || watch(&[url, "--interval".into(), "0.02".into()]));
         std::thread::sleep(Duration::from_millis(150));

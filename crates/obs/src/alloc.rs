@@ -217,11 +217,24 @@ impl PhaseAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// The counters are process-global: the tests that drive the allocator
+    /// hold this lock, so one test's allocations never land inside the
+    /// other's exact deltas.
+    static COUNTERS: Mutex<()> = Mutex::new(());
+
+    fn counters_lock() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     /// Drives the allocator directly (it is not installed globally in
     /// tests) and checks the counter arithmetic.
     #[test]
     fn counters_track_alloc_and_free() {
+        let _counters = counters_lock();
         let a = TrackingAlloc::new();
         let layout = Layout::from_size_align(256, 8).unwrap();
         // SAFETY: paired alloc/dealloc with a valid layout.
@@ -262,6 +275,7 @@ mod tests {
     /// (other tests may run concurrently, so deltas are lower bounds).
     #[test]
     fn phase_alloc_attributes_deltas_to_phases() {
+        let _counters = counters_lock();
         let a = TrackingAlloc::new();
         let layout = Layout::from_size_align(4096, 8).unwrap();
         // SAFETY: paired alloc/dealloc with a valid layout.

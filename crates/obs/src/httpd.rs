@@ -1,22 +1,20 @@
 //! Minimal std-only HTTP server for live metrics scrapes and the mining
 //! daemon.
 //!
-//! Two servers share one request parser ([`read_request`]):
+//! [`HttpServer`] is a generic listener over an arbitrary
+//! `Request → Response` handler: one thread per connection (capped,
+//! overload answered with an inline 503), and per-connection
+//! `catch_unwind` so a panicking handler yields a 500 while the server
+//! keeps accepting. `tricluster serve` builds its routes on it;
+//! [`scrape_handler`] is the read-only endpoint set (`/metrics`,
+//! `/progress`, `/healthz`) that `mine --metrics-addr` serves over one
+//! [`crate::metrics::Registry`] while the run lasts.
 //!
-//! * [`MetricsServer`] — the read-only scrape endpoint attached to a
-//!   single run (`/metrics`, `/progress`, `/healthz`), serial
-//!   connections, dies with the run.
-//! * [`HttpServer`] — the generic listener `tricluster serve` builds on:
-//!   an arbitrary `Request → Response` handler, one thread per
-//!   connection (capped, overload answered with an inline 503), and
-//!   per-connection `catch_unwind` so a panicking handler yields a 500
-//!   while the daemon keeps accepting.
-//!
-//! The parser enforces the protocol-level robustness rules both servers
-//! rely on: the request head is capped (431 instead of unbounded
+//! The request parser ([`read_request`]) enforces the protocol-level
+//! robustness rules: the request head is capped (431 instead of unbounded
 //! buffering), bodies are read only up to a caller-set limit (413 past
 //! it), and only GET/POST/DELETE are admitted (405 otherwise). Dropping
-//! either server stops its accept thread deterministically (stop flag +
+//! the server stops its accept thread deterministically (stop flag +
 //! self-connect to unblock `accept`).
 //!
 //! [`http_get`] is the matching client: just enough HTTP/1.0 to scrape
@@ -81,6 +79,16 @@ impl Response {
             status,
             content_type: "application/json; charset=utf-8".into(),
             body: body.into(),
+        }
+    }
+
+    /// A 200 OpenMetrics text exposition (see
+    /// [`Registry::render_openmetrics`]).
+    pub fn openmetrics(body: String) -> Response {
+        Response {
+            status: 200,
+            content_type: "application/openmetrics-text; version=1.0.0; charset=utf-8".into(),
+            body,
         }
     }
 
@@ -199,67 +207,6 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// A running scrape endpoint. Dropping it shuts the listener down and
-/// joins the serve thread.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving `registry`.
-    pub fn serve(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("metrics-httpd".into())
-            .spawn(move || {
-                // Connections are handled serially — scrapers poll at
-                // second granularity and every response is a point-in-time
-                // render, so there is nothing to win by handling them
-                // concurrently.
-                for conn in listener.incoming() {
-                    if thread_stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Ok(stream) = conn {
-                        // A failed scrape (timeout, closed pipe) only loses
-                        // that one response; the serve loop survives it.
-                        let _ = handle_scrape_conn(stream, &registry);
-                    }
-                }
-            })?;
-        Ok(MetricsServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The actually bound address (resolves a requested port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Scrape base URL, e.g. `http://127.0.0.1:37012`.
-    pub fn url(&self) -> String {
-        format!("http://{}", self.addr)
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = connect_back(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Unblocks a listener's `accept` with one throwaway connection; an
 /// unspecified bind address (0.0.0.0) is dialed back via loopback.
 fn connect_back(mut dial: SocketAddr) -> std::io::Result<TcpStream> {
@@ -269,23 +216,20 @@ fn connect_back(mut dial: SocketAddr) -> std::io::Result<TcpStream> {
     TcpStream::connect_timeout(&dial, IO_TIMEOUT)
 }
 
-fn handle_scrape_conn(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = match read_request(&mut stream, 0) {
-        Ok(Some(request)) => request,
-        Ok(None) => return Ok(()),
-        Err(response) => return response.write_to(&mut stream),
-    };
-    let response = if request.method != "GET" {
-        Response::text(405, "scrape endpoints are GET-only\n")
-    } else {
+/// A shareable `Request → Response` handler.
+pub type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
+
+/// The read-only scrape routes over `registry`: `/metrics` (its
+/// exposition, no extra gauges), `/progress` (the attached progress
+/// gauges' JSON snapshot, 404 without any), and `/healthz`. Serve it with
+/// a zero body limit: a scrape carries no body.
+pub fn scrape_handler(registry: Arc<Registry>) -> Handler {
+    Arc::new(move |request: Request| {
+        if request.method != "GET" {
+            return Response::text(405, "scrape endpoints are GET-only\n");
+        }
         match request.path.as_str() {
-            "/metrics" => Response {
-                status: 200,
-                content_type: "application/openmetrics-text; version=1.0.0; charset=utf-8".into(),
-                body: registry.render_openmetrics(),
-            },
+            "/metrics" => Response::openmetrics(registry.render_openmetrics(&[])),
             "/progress" => match registry.progress_json() {
                 Some(json) => Response::json(200, json + "\n"),
                 None => Response::text(404, "no progress gauges attached\n"),
@@ -293,14 +237,10 @@ fn handle_scrape_conn(mut stream: TcpStream, registry: &Registry) -> std::io::Re
             "/healthz" => Response::text(200, "ok\n"),
             _ => Response::text(404, "unknown path; try /metrics, /progress, or /healthz\n"),
         }
-    };
-    response.write_to(&mut stream)
+    })
 }
 
-/// A shareable `Request → Response` handler.
-pub type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
-
-/// A generic HTTP/1.0 listener for long-lived daemons.
+/// A generic HTTP/1.0 listener: the daemon's routes, or [`scrape_handler`].
 ///
 /// Each accepted connection is parsed ([`read_request`]) and handled on
 /// its own thread, so one slow client cannot wedge the daemon; at most
@@ -350,7 +290,7 @@ impl HttpServer {
                         std::thread::Builder::new()
                             .name("serve-conn".into())
                             .spawn(move || {
-                                let _ = handle_generic_conn(stream, max_body, &handler);
+                                let _ = handle_conn(stream, max_body, &handler);
                                 active.fetch_sub(1, Ordering::AcqRel);
                             });
                     if spawned.is_err() {
@@ -395,11 +335,7 @@ impl Drop for HttpServer {
     }
 }
 
-fn handle_generic_conn(
-    mut stream: TcpStream,
-    max_body: usize,
-    handler: &Handler,
-) -> std::io::Result<()> {
+fn handle_conn(mut stream: TcpStream, max_body: usize, handler: &Handler) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let request = match read_request(&mut stream, max_body) {
@@ -543,18 +479,36 @@ mod tests {
     use crate::names;
     use crate::progress::{Phase, Progress};
     use crate::EventSink;
+    // Every test that dials a server holds the failpoint scenario lock:
+    // the injected-connect-fault test below arms the process-global
+    // `httpd.client.connect` site, which any concurrent client would hit.
+    use tricluster_failpoint::scenario;
 
-    fn served_registry() -> (MetricsServer, Arc<Registry>, Arc<Progress>) {
+    fn scrape_server(addr: &str, registry: Arc<Registry>) -> std::io::Result<HttpServer> {
+        HttpServer::serve(addr, 0, scrape_handler(registry))
+    }
+
+    fn served_registry() -> (HttpServer, Arc<Registry>, Arc<Progress>) {
         let registry = Arc::new(Registry::new());
         let progress = Arc::new(Progress::new());
         registry.attach_progress(progress.clone());
         let server =
-            MetricsServer::serve("127.0.0.1:0", registry.clone()).expect("bind an ephemeral port");
+            scrape_server("127.0.0.1:0", registry.clone()).expect("bind an ephemeral port");
         (server, registry, progress)
+    }
+
+    /// Sends `raw` bytes and returns the whole response, head included.
+    fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(raw).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
     }
 
     #[test]
     fn serves_metrics_progress_and_healthz() {
+        let _scenario = scenario();
         let (server, registry, progress) = served_registry();
         let sink: &dyn EventSink = &*registry;
         sink.counter(names::TC_RECORDED, 7);
@@ -570,6 +524,13 @@ mod tests {
             "{body}"
         );
         assert!(body.ends_with("# EOF\n"), "{body}");
+        let response = raw_exchange(server.local_addr(), b"GET /metrics HTTP/1.0\r\n\r\n");
+        assert!(
+            response.contains(
+                "Content-Type: application/openmetrics-text; version=1.0.0; charset=utf-8\r\n"
+            ),
+            "{response}"
+        );
 
         let (status, body) = http_get(&format!("{}/progress", server.url())).unwrap();
         assert_eq!(status, 200);
@@ -583,22 +544,34 @@ mod tests {
 
     #[test]
     fn unknown_paths_404_and_non_get_405() {
+        let _scenario = scenario();
         let (server, _registry, _progress) = served_registry();
-        let (status, _) = http_get(&format!("{}/nope", server.url())).unwrap();
-        assert_eq!(status, 404);
+        let (status, body) = http_get(&format!("{}/nope", server.url())).unwrap();
+        assert_eq!(
+            (status, body.as_str()),
+            (404, "unknown path; try /metrics, /progress, or /healthz\n")
+        );
         // Query strings are routed on the path alone.
         let (status, _) = http_get(&format!("{}/healthz?verbose=1", server.url())).unwrap();
         assert_eq!(status, 200);
         // A hand-written POST gets 405 (scrape endpoints are GET-only).
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.write_all(b"POST /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+        let response = raw_exchange(server.local_addr(), b"POST /metrics HTTP/1.0\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 405"), "{response}");
+        assert!(
+            response.ends_with("scrape endpoints are GET-only\n"),
+            "{response}"
+        );
+        // A scrape carries no body: any declared body is rejected 413.
+        let response = raw_exchange(
+            server.local_addr(),
+            b"GET /metrics HTTP/1.0\r\nContent-Length: 1\r\n\r\nx",
+        );
+        assert!(response.starts_with("HTTP/1.0 413"), "{response}");
     }
 
     #[test]
     fn oversize_request_head_is_rejected_431() {
+        let _scenario = scenario();
         let (server, _registry, _progress) = served_registry();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"GET /healthz HTTP/1.0\r\n").unwrap();
@@ -617,24 +590,27 @@ mod tests {
 
     #[test]
     fn unknown_method_is_rejected_405() {
+        let _scenario = scenario();
         let (server, _registry, _progress) = served_registry();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.write_all(b"BREW /coffee HTTP/1.0\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+        let response = raw_exchange(server.local_addr(), b"BREW /coffee HTTP/1.0\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 405"), "{response}");
     }
 
     #[test]
     fn progress_endpoint_404s_without_gauges() {
+        let _scenario = scenario();
         let registry = Arc::new(Registry::new());
-        let server = MetricsServer::serve("127.0.0.1:0", registry).unwrap();
-        let (status, _) = http_get(&format!("{}/progress", server.url())).unwrap();
-        assert_eq!(status, 404);
+        let server = scrape_server("127.0.0.1:0", registry).unwrap();
+        let (status, body) = http_get(&format!("{}/progress", server.url())).unwrap();
+        assert_eq!(
+            (status, body.as_str()),
+            (404, "no progress gauges attached\n")
+        );
     }
 
     #[test]
     fn drop_shuts_the_listener_down() {
+        let _scenario = scenario();
         let (server, _registry, _progress) = served_registry();
         let addr = server.local_addr();
         drop(server);
@@ -642,12 +618,13 @@ mod tests {
         // fast), and a new server can re-bind the same address.
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
         let registry = Arc::new(Registry::new());
-        let rebound = MetricsServer::serve(&addr.to_string(), registry).expect("address released");
+        let rebound = scrape_server(&addr.to_string(), registry).expect("address released");
         assert_eq!(rebound.local_addr(), addr);
     }
 
     #[test]
     fn http_get_rejects_unreachable_and_malformed_targets() {
+        let _scenario = scenario();
         assert!(http_get("definitely not a url").is_err());
         // A released ephemeral port: connection refused surfaces as Err.
         let addr = {
@@ -675,6 +652,7 @@ mod tests {
 
     #[test]
     fn generic_server_routes_get_post_delete() {
+        let _scenario = scenario();
         let server = echo_server();
         let (status, body) = http_get(&format!("{}/a?q=1", server.url())).unwrap();
         assert_eq!((status, body.as_str()), (200, "GET /a \n"));
@@ -687,6 +665,7 @@ mod tests {
 
     #[test]
     fn oversize_body_is_rejected_413_before_the_handler() {
+        let _scenario = scenario();
         let server = echo_server();
         let big = vec![b'x'; 65];
         let (status, _) = http_post(&format!("{}/b", server.url()), "text/plain", &big).unwrap();
@@ -698,6 +677,7 @@ mod tests {
 
     #[test]
     fn handler_panic_becomes_500_and_daemon_survives() {
+        let _scenario = scenario();
         let server = echo_server();
         let (status, body) = http_get(&format!("{}/panic", server.url())).unwrap();
         assert_eq!(status, 500);
@@ -708,6 +688,7 @@ mod tests {
 
     #[test]
     fn generic_server_drop_releases_the_port() {
+        let _scenario = scenario();
         let server = echo_server();
         let addr = server.local_addr();
         drop(server);
@@ -716,6 +697,7 @@ mod tests {
 
     #[test]
     fn http_get_retry_waits_out_a_late_listener() {
+        let _scenario = scenario();
         let addr = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
@@ -726,7 +708,7 @@ mod tests {
         let spawner = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(120));
             let registry = Arc::new(Registry::new());
-            MetricsServer::serve(&addr.to_string(), registry).expect("rebind the probed address")
+            scrape_server(&addr.to_string(), registry).expect("rebind the probed address")
         });
         let retry = http_get_retry(
             &format!("http://{addr}/healthz"),
@@ -745,6 +727,7 @@ mod tests {
 
     #[test]
     fn http_get_retry_gives_up_after_bounded_attempts() {
+        let _scenario = scenario();
         let addr = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
@@ -769,8 +752,8 @@ mod tests {
     #[cfg(feature = "failpoints")]
     #[test]
     fn http_get_retry_is_bounded_under_injected_connect_faults() {
-        use tricluster_failpoint::{configure, configure_times, scenario, Action};
-        let _guard = scenario();
+        use tricluster_failpoint::{configure, configure_times, Action};
+        let _scenario = scenario();
         let (server, _registry, _progress) = served_registry();
 
         // Two injected refusals, then the real server answers: exactly

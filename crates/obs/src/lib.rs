@@ -27,7 +27,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod names;
 pub mod progress;
-pub mod service;
 pub mod timeline;
 
 pub use hist::Histogram;
@@ -203,48 +202,10 @@ impl EventSink for NullSink {
     }
 }
 
-/// Fan a signal out to two sinks (e.g. a [`Recorder`] plus a trace writer).
-pub struct Tee<'a>(pub &'a dyn EventSink, pub &'a dyn EventSink);
-
-impl EventSink for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.0.counter(name, delta);
-        self.1.counter(name, delta);
-    }
-    fn span(&self, name: &'static str, elapsed: Duration) {
-        self.0.span(name, elapsed);
-        self.1.span(name, elapsed);
-    }
-    fn event(&self, event: Event) {
-        if self.0.enabled() {
-            self.0.event(event.clone());
-        }
-        if self.1.enabled() {
-            self.1.event(event);
-        }
-    }
-    fn wants_histograms(&self) -> bool {
-        self.0.wants_histograms() || self.1.wants_histograms()
-    }
-    fn histogram(&self, name: &'static str, hist: &Histogram) {
-        self.0.histogram(name, hist);
-        self.1.histogram(name, hist);
-    }
-    fn timeline(&self) -> Option<&timeline::Timeline> {
-        self.0.timeline().or_else(|| self.1.timeline())
-    }
-    fn progress(&self) -> Option<std::sync::Arc<progress::Progress>> {
-        self.0.progress().or_else(|| self.1.progress())
-    }
-}
-
-/// Fan a signal out to any number of sinks. Generalizes [`Tee`] for
-/// callers composing a variable sink set (trace stream + histogram tap +
-/// timeline + progress, each independently optional); an empty fan-out
-/// behaves exactly like [`NullSink`].
+/// Fan a signal out to any number of sinks: a [`Recorder`] plus a trace
+/// writer, or a variable sink set (trace stream, histogram tap, timeline,
+/// progress, each independently optional). An empty fan-out behaves
+/// exactly like [`NullSink`].
 pub struct Fanout<'a>(pub Vec<&'a dyn EventSink>);
 
 impl EventSink for Fanout<'_> {
@@ -845,18 +806,44 @@ mod tests {
         assert!(r.counters.is_empty());
     }
 
+    /// Counts `event()` calls while reporting itself disabled: a fan-out
+    /// that ignored `enabled()` would be caught delivering to it.
+    #[derive(Default)]
+    struct DisabledProbe(std::sync::atomic::AtomicUsize);
+
+    impl EventSink for DisabledProbe {
+        fn enabled(&self) -> bool {
+            false
+        }
+        fn event(&self, _event: Event) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
     #[test]
-    fn tee_routes_to_both_sinks() {
+    fn two_sink_fanout_routes_to_both_sinks() {
         let a = Recorder::new();
         let b = Recorder::new();
-        let tee = Tee(&a, &b);
-        assert!(tee.enabled());
-        tee.counter("c", 4);
-        tee.event(Event::new("e").field("k", 1u64));
+        let fan = Fanout(vec![&a, &b]);
+        assert!(fan.enabled());
+        fan.counter("c", 4);
+        fan.event(Event::new("e").field("k", 1u64));
         assert_eq!(a.snapshot().counter("c"), 4);
         assert_eq!(b.snapshot().counter("c"), 4);
         assert_eq!(a.take_events().len(), 1);
         assert_eq!(b.take_events().len(), 1);
+
+        // `enabled()` is an OR over the sinks, and events reach only the
+        // enabled ones, in either position.
+        let off = DisabledProbe::default();
+        let rec = Recorder::new();
+        for fan in [Fanout(vec![&off, &rec]), Fanout(vec![&rec, &off])] {
+            assert!(fan.enabled());
+            fan.event(Event::new("e"));
+        }
+        assert_eq!(off.0.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(rec.take_events().len(), 2);
+        assert!(!Fanout(vec![&off, &NullSink]).enabled());
     }
 
     #[test]
@@ -907,16 +894,17 @@ mod tests {
     }
 
     #[test]
-    fn tee_forwards_histograms_and_ors_wants() {
+    fn two_sink_fanout_forwards_histograms_and_ors_wants() {
         let a = Recorder::new();
         let null = NullSink;
-        let tee = Tee(&null, &a);
-        assert!(tee.wants_histograms());
+        let fan = Fanout(vec![&null, &a]);
+        assert!(fan.wants_histograms());
+        assert!(Fanout(vec![&a, &null]).wants_histograms());
         let mut h = Histogram::default();
         h.record(7);
-        tee.histogram("x", &h);
+        fan.histogram("x", &h);
         assert_eq!(a.snapshot().histogram("x").unwrap().count(), 1);
-        let both_null = Tee(&null, &null);
+        let both_null = Fanout(vec![&null, &null]);
         assert!(!both_null.wants_histograms());
     }
 
@@ -1061,15 +1049,23 @@ mod tests {
     }
 
     #[test]
-    fn tee_forwards_timeline_and_progress() {
+    fn two_sink_fanout_forwards_timeline_and_progress() {
         let tl = timeline::Timeline::new();
         let ps = progress::ProgressSink(std::sync::Arc::new(progress::Progress::new()));
         let null = NullSink;
-        assert!(Tee(&null, &tl).timeline().is_some());
-        assert!(Tee(&tl, &null).timeline().is_some());
-        assert!(Tee(&null, &ps).progress().is_some());
-        assert!(Tee(&null, &null).timeline().is_none());
-        assert!(Tee(&null, &null).progress().is_none());
+        assert!(Fanout(vec![&null, &tl]).timeline().is_some());
+        assert!(Fanout(vec![&tl, &null]).timeline().is_some());
+        assert!(Fanout(vec![&null, &ps]).progress().is_some());
+        assert!(Fanout(vec![&null, &null]).timeline().is_none());
+        assert!(Fanout(vec![&null, &null]).progress().is_none());
+
+        // Discovery takes the first sink that answers.
+        let tl2 = timeline::Timeline::new();
+        let ps2 = progress::ProgressSink(std::sync::Arc::new(progress::Progress::new()));
+        let fan = Fanout(vec![&tl2, &tl]);
+        assert!(std::ptr::eq(fan.timeline().unwrap(), &tl2));
+        let found = Fanout(vec![&ps2, &ps]).progress().unwrap();
+        assert!(std::sync::Arc::ptr_eq(&found, &ps2.0));
     }
 
     #[test]

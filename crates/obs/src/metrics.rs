@@ -1,19 +1,24 @@
 //! Live metrics registry with OpenMetrics text exposition.
 //!
-//! A [`Registry`] is an [`EventSink`] that aggregates whatever the run
-//! publishes — counters, span timings, value histograms — into shared
-//! state cheap enough to sit in a sink fan-out for the whole run, plus a
-//! scrape-time view of the run's [`Progress`] gauges, budget proximity,
-//! and the tracking allocator's live/peak bytes. [`render_openmetrics`]
-//! serializes all of it as OpenMetrics/Prometheus text exposition,
-//! hand-rolled in the same no-dependency spirit as [`crate::json`].
+//! A [`Registry`] is an [`EventSink`] that aggregates whatever is
+//! published to it — counters, span timings, value histograms — into
+//! shared state cheap enough to sit in a sink fan-out for a whole run, or
+//! to live for a whole daemon. A `mine --metrics-addr` run feeds one
+//! through its sink stack and adds a scrape-time view of the run's
+//! [`Progress`] gauges, budget proximity, and the tracking allocator's
+//! live/peak bytes. `tricluster serve` writes its job-lifecycle counters
+//! and queue-wait/run/archive latencies straight into one and samples its
+//! gauges (queue depth, admitted bytes, …) at scrape time.
+//! [`render_openmetrics`] serializes all of it as OpenMetrics/Prometheus
+//! text exposition, hand-rolled in the same no-dependency spirit as
+//! [`crate::json`].
 //!
 //! Like every other observability layer, the registry only observes:
 //! counter updates are relaxed atomics behind a read lock, span and
 //! histogram merges take a mutex off the DFS hot paths (they arrive from
-//! the single merge thread), and nothing feeds back into mining decisions
-//! — so serving metrics cannot perturb the byte-deterministic report
-//! sections.
+//! the single merge thread), and nothing feeds back into mining or
+//! admission decisions — so serving metrics cannot perturb the
+//! byte-deterministic report sections.
 //!
 //! [`render_openmetrics`]: Registry::render_openmetrics
 
@@ -33,7 +38,7 @@ const PREFIX: &str = "tricluster_";
 /// Shared metrics state for one run (or one process serving many runs).
 ///
 /// Compose it into the run's sink (e.g. via [`crate::Fanout`]) and hand a
-/// clone to [`crate::httpd::MetricsServer`]; scrapes then see counters and
+/// clone to [`crate::httpd::scrape_handler`]; scrapes then see counters and
 /// spans as the merge thread publishes them, and gauges at their
 /// scrape-instant values.
 #[derive(Default)]
@@ -72,10 +77,12 @@ impl Registry {
     }
 
     /// Renders the full OpenMetrics text exposition: counters, span
-    /// latency histograms (seconds), value histograms, progress/budget
-    /// gauges, and — when the tracking allocator is installed — live and
-    /// peak heap bytes. Terminated by `# EOF` per the OpenMetrics spec.
-    pub fn render_openmetrics(&self) -> String {
+    /// latency histograms (seconds), value histograms, the caller-sampled
+    /// `gauges` (dotted names from [`crate::names`], instantaneous values),
+    /// progress/budget gauges, and — when the tracking allocator is
+    /// installed — live and peak heap bytes. Terminated by `# EOF` per the
+    /// OpenMetrics spec.
+    pub fn render_openmetrics(&self, gauges: &[(&'static str, f64)]) -> String {
         let mut out = String::new();
         for (name, value) in read_lock(&self.counters).iter() {
             let fam = metric_name(name);
@@ -101,6 +108,9 @@ impl Registry {
                 hist.count(),
                 hist.sum() as f64,
             );
+        }
+        for (name, value) in gauges {
+            gauge(&mut out, &name.replace('.', "_"), *value);
         }
         if let Some(progress) = read_lock(&self.progress).as_ref() {
             render_progress(&mut out, &progress.snapshot());
@@ -171,7 +181,7 @@ pub fn metric_name(name: &str) -> String {
     format!("{PREFIX}{}", name.replace('.', "_"))
 }
 
-pub(crate) fn render_histogram(
+fn render_histogram(
     out: &mut String,
     fam: &str,
     buckets: impl Iterator<Item = (String, u64)>,
@@ -234,19 +244,19 @@ fn render_progress(out: &mut String, snap: &ProgressSnapshot) {
     }
 }
 
-pub(crate) fn gauge(out: &mut String, name: &str, value: f64) {
+fn gauge(out: &mut String, name: &str, value: f64) {
     let _ = writeln!(out, "# TYPE {PREFIX}{name} gauge");
     let _ = writeln!(out, "{PREFIX}{name} {}", format_f64(value));
 }
 
 /// A span bucket's upper bound (nanoseconds) as a seconds `le` value.
-pub(crate) fn nanos_le(hi: u64) -> String {
+fn nanos_le(hi: u64) -> String {
     format_f64(hi as f64 / 1e9)
 }
 
 /// Finite floats only; integral values render without a trailing `.0`
 /// (both spellings are valid exposition, one is shorter and stable).
-pub(crate) fn format_f64(v: f64) -> String {
+fn format_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {
@@ -266,61 +276,8 @@ fn write_lock<'a, T>(l: &'a RwLock<T>) -> std::sync::RwLockWriteGuard<'a, T> {
     l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Hand-rolled OpenMetrics line parser shared by the exposition golden
-/// tests here and in [`crate::service`]; kept test-only so the production
-/// path stays render-only.
-#[cfg(test)]
-pub(crate) mod exposition {
-    use std::collections::BTreeMap;
-
-    pub(crate) struct Sample {
-        pub family: String,
-        pub labels: Vec<(String, String)>,
-        pub value: f64,
-    }
-
-    pub(crate) fn parse_sample(line: &str, types: &BTreeMap<String, String>) -> Sample {
-        let (name_labels, value) = line.rsplit_once(' ').expect("sample has a value");
-        let value: f64 = value.parse().unwrap_or_else(|_| {
-            panic!("unparseable value in {line:?}");
-        });
-        let (name, labels) = match name_labels.split_once('{') {
-            None => (name_labels.to_string(), Vec::new()),
-            Some((name, rest)) => {
-                let body = rest.strip_suffix('}').expect("closed label set");
-                let labels = body
-                    .split(',')
-                    .map(|kv| {
-                        let (k, v) = kv.split_once('=').expect("label k=v");
-                        let v = v
-                            .strip_prefix('"')
-                            .and_then(|v| v.strip_suffix('"'))
-                            .expect("quoted label value");
-                        (k.to_string(), v.to_string())
-                    })
-                    .collect();
-                (name.to_string(), labels)
-            }
-        };
-        // Strip the per-type sample suffix to recover the family name.
-        let family = ["_total", "_bucket", "_sum", "_count"]
-            .iter()
-            .find_map(|suffix| {
-                let stem = name.strip_suffix(suffix)?;
-                types.contains_key(stem).then(|| stem.to_string())
-            })
-            .unwrap_or(name);
-        Sample {
-            family,
-            labels,
-            value,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::exposition::{parse_sample, Sample};
     use super::*;
     use crate::names;
 
@@ -333,6 +290,8 @@ mod tests {
         sink.counter(names::BC_NODES, 1);
         sink.span(names::SPAN_SLICES_WALL, Duration::from_millis(3));
         sink.span(names::SPAN_SLICES_WALL, Duration::from_millis(5));
+        sink.span(names::SV_QUEUE_WAIT, Duration::from_millis(4));
+        sink.span(names::SV_QUEUE_WAIT, Duration::from_millis(12));
         let mut h = Histogram::default();
         h.record(4);
         h.record(1000);
@@ -341,7 +300,7 @@ mod tests {
         assert_eq!(reg.counter_value(names::RG_PAIRS), 15);
         assert_eq!(reg.counter_value(names::BC_NODES), 1);
         assert_eq!(reg.counter_value("no.such.counter"), 0);
-        let text = reg.render_openmetrics();
+        let text = reg.render_openmetrics(&[]);
         assert!(
             text.contains("tricluster_rangegraph_pairs_total 15"),
             "{text}"
@@ -349,6 +308,14 @@ mod tests {
         assert!(
             text.contains("tricluster_phase_slices_wall_seconds_count 2"),
             "{text}"
+        );
+        assert!(
+            text.contains("tricluster_serve_job_queue_wait_seconds_sum 0.016"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("tricluster_serve_job_run_seconds"),
+            "never-observed latency families stay absent: {text}"
         );
         assert!(
             text.contains("tricluster_bicluster_dfs_depth_count 4"),
@@ -368,7 +335,7 @@ mod tests {
         p.set_logical_bytes(250);
         p.add_budget_spent(25);
         reg.attach_progress(p);
-        let text = reg.render_openmetrics();
+        let text = reg.render_openmetrics(&[]);
         assert!(text.contains("tricluster_progress_slices_done 1"), "{text}");
         assert!(
             text.contains("tricluster_progress_slices_total 4"),
@@ -420,44 +387,62 @@ mod tests {
         assert_eq!(format_f64(0.25), "0.25");
     }
 
-    // ---- satellite: golden exposition-format test -----------------------
+    // ---- golden exposition-format test ----------------------------------
     //
-    // The shared hand-rolled OpenMetrics parser (see [`super::exposition`])
-    // checks structural validity: every family is typed before its samples,
-    // counters appear exactly once, histogram buckets are
-    // cumulative/monotone and consistent with their `_count`, and the
-    // document is `# EOF`-terminated.
+    // A hand-rolled OpenMetrics parser checks structural validity: every
+    // family is typed before its samples, counters appear exactly once,
+    // histogram buckets are cumulative/monotone and consistent with their
+    // `_count`, and the document is `# EOF`-terminated. It runs on a
+    // run-style registry (as `mine --metrics-addr` fills it) and on a
+    // daemon-style one (as `tricluster serve` fills it).
 
-    #[test]
-    fn exposition_is_valid_openmetrics() {
-        // Populate a registry the same way a run does: counters and spans
-        // through the sink interface, histograms merged, gauges live.
-        let reg = Registry::new();
-        let sink: &dyn EventSink = &reg;
-        for (name, delta) in [
-            (names::RG_PAIRS, 45u64),
-            (names::RG_EDGES, 12),
-            (names::BC_NODES, 100),
-            (names::TC_RECORDED, 3),
-            (names::M_MATRIX_BYTES, 24_000),
-        ] {
-            sink.counter(name, delta);
-        }
-        for _ in 0..32 {
-            sink.span(names::SPAN_RANGE_GRAPH, Duration::from_micros(800));
-            sink.span(names::SPAN_TRICLUSTER, Duration::from_millis(7));
-        }
-        let mut h = Histogram::default();
-        for v in [1u64, 2, 2, 9, 40, 41, 100_000] {
-            h.record(v);
-        }
-        sink.histogram(names::H_TC_DEPTH, &h);
-        let p = Arc::new(Progress::new());
-        p.set_budgets(Some(Duration::from_secs(60)), Some(1 << 20), None);
-        p.set_phase(Phase::Done);
-        reg.attach_progress(p);
+    struct Sample {
+        family: String,
+        labels: Vec<(String, String)>,
+        value: f64,
+    }
 
-        let text = reg.render_openmetrics();
+    fn parse_sample(line: &str, types: &BTreeMap<String, String>) -> Sample {
+        let (name_labels, value) = line.rsplit_once(' ').expect("sample has a value");
+        let value: f64 = value.parse().unwrap_or_else(|_| {
+            panic!("unparseable value in {line:?}");
+        });
+        let (name, labels) = match name_labels.split_once('{') {
+            None => (name_labels.to_string(), Vec::new()),
+            Some((name, rest)) => {
+                let body = rest.strip_suffix('}').expect("closed label set");
+                let labels = body
+                    .split(',')
+                    .map(|kv| {
+                        let (k, v) = kv.split_once('=').expect("label k=v");
+                        let v = v
+                            .strip_prefix('"')
+                            .and_then(|v| v.strip_suffix('"'))
+                            .expect("quoted label value");
+                        (k.to_string(), v.to_string())
+                    })
+                    .collect();
+                (name.to_string(), labels)
+            }
+        };
+        // Strip the per-type sample suffix to recover the family name.
+        let family = ["_total", "_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|suffix| {
+                let stem = name.strip_suffix(suffix)?;
+                types.contains_key(stem).then(|| stem.to_string())
+            })
+            .unwrap_or(name);
+        Sample {
+            family,
+            labels,
+            value,
+        }
+    }
+
+    /// Runs every structural check on `text` and returns the family types
+    /// and parsed samples for the caller's content checks.
+    fn check_exposition(text: &str) -> (BTreeMap<String, String>, Vec<Sample>) {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(*lines.last().unwrap(), "# EOF", "EOF-terminated");
 
@@ -486,14 +471,6 @@ mod tests {
                 s.family
             );
             assert!(s.value.is_finite());
-        }
-        // Counters: every published counter appears exactly once, with its
-        // exact value.
-        for (name, want) in [(names::RG_PAIRS, 45.0), (names::TC_RECORDED, 3.0)] {
-            let fam = metric_name(name);
-            let hits: Vec<&Sample> = samples.iter().filter(|s| s.family == fam).collect();
-            assert_eq!(hits.len(), 1, "{fam} appears once");
-            assert_eq!(hits[0].value, want, "{fam} value");
         }
         for (fam, ty) in &types {
             if ty == "counter" {
@@ -529,6 +506,11 @@ mod tests {
                 .unwrap()
                 .clone();
             assert_eq!(last_le, "+Inf", "{fam} ends with the +Inf bucket");
+            let unlabeled = samples
+                .iter()
+                .filter(|s| s.family == *fam && s.labels.is_empty())
+                .count();
+            assert_eq!(unlabeled, 2, "{fam} has exactly _sum and _count");
             let count_needle = format!("{fam}_count ");
             let count = lines
                 .iter()
@@ -547,6 +529,53 @@ mod tests {
                 "{fam} has a _sum"
             );
         }
+        (types, samples)
+    }
+
+    /// Every published counter appears exactly once, with its exact value.
+    fn assert_counters(samples: &[Sample], want: &[(&str, f64)]) {
+        for (name, want) in want {
+            let fam = metric_name(name);
+            let hits: Vec<&Sample> = samples.iter().filter(|s| s.family == fam).collect();
+            assert_eq!(hits.len(), 1, "{fam} appears once");
+            assert_eq!(hits[0].value, *want, "{fam} value");
+        }
+    }
+
+    #[test]
+    fn exposition_is_valid_openmetrics() {
+        // Run-style: counters and spans through the sink interface,
+        // histograms merged, progress gauges live.
+        let reg = Registry::new();
+        let sink: &dyn EventSink = &reg;
+        for (name, delta) in [
+            (names::RG_PAIRS, 45u64),
+            (names::RG_EDGES, 12),
+            (names::BC_NODES, 100),
+            (names::TC_RECORDED, 3),
+            (names::M_MATRIX_BYTES, 24_000),
+        ] {
+            sink.counter(name, delta);
+        }
+        for _ in 0..32 {
+            sink.span(names::SPAN_RANGE_GRAPH, Duration::from_micros(800));
+            sink.span(names::SPAN_TRICLUSTER, Duration::from_millis(7));
+        }
+        let mut h = Histogram::default();
+        for v in [1u64, 2, 2, 9, 40, 41, 100_000] {
+            h.record(v);
+        }
+        sink.histogram(names::H_TC_DEPTH, &h);
+        let p = Arc::new(Progress::new());
+        p.set_budgets(Some(Duration::from_secs(60)), Some(1 << 20), None);
+        p.set_phase(Phase::Done);
+        reg.attach_progress(p);
+
+        let (_, samples) = check_exposition(&reg.render_openmetrics(&[]));
+        assert_counters(
+            &samples,
+            &[(names::RG_PAIRS, 45.0), (names::TC_RECORDED, 3.0)],
+        );
         // Progress gauges made it through with one-hot phase encoding.
         let phases: Vec<&Sample> = samples
             .iter()
@@ -558,5 +587,67 @@ mod tests {
             1.0,
             "exactly one live phase"
         );
+
+        // Daemon-style: lifecycle counters, latency families, and gauges
+        // sampled at scrape time.
+        let reg = Registry::new();
+        let sink: &dyn EventSink = &reg;
+        for (name, delta) in [
+            (names::SV_JOBS_ACCEPTED, 5u64),
+            (names::SV_JOBS_REJECTED_QUEUE_FULL, 2),
+            (names::SV_JOBS_COMPLETED, 4),
+            (names::SV_JOBS_FAILED, 1),
+            (names::SV_HTTP_REQUESTS, 31),
+        ] {
+            sink.counter(name, delta);
+        }
+        for ms in [1u64, 3, 3, 40, 600] {
+            sink.span(names::SV_QUEUE_WAIT, Duration::from_millis(ms));
+        }
+        for ms in [20u64, 90, 90, 250] {
+            sink.span(names::SV_RUN, Duration::from_millis(ms));
+        }
+        let gauges = [
+            (names::SV_QUEUE_DEPTH, 3.0),
+            (names::SV_ADMITTED_BYTES, 1_048_576.0),
+            (names::SV_WORKERS_BUSY, 2.0),
+            (names::SV_CACHE_HITS, 9.0),
+        ];
+        let (types, samples) = check_exposition(&reg.render_openmetrics(&gauges));
+        // The allocator families are process-wide: they render whenever the
+        // tracking counters have moved (the `alloc` tests move them in this
+        // process), for a daemon as for a run.
+        for s in samples
+            .iter()
+            .filter(|s| !s.family.starts_with("tricluster_alloc_"))
+        {
+            assert!(
+                s.family.starts_with("tricluster_serve_"),
+                "service family {:?} carries the serve prefix",
+                s.family
+            );
+        }
+        assert_counters(
+            &samples,
+            &[
+                (names::SV_JOBS_ACCEPTED, 5.0),
+                (names::SV_JOBS_REJECTED_QUEUE_FULL, 2.0),
+                (names::SV_HTTP_REQUESTS, 31.0),
+            ],
+        );
+        let histogram_families = types.values().filter(|ty| *ty == "histogram").count();
+        assert_eq!(histogram_families, 2, "queue_wait and run families");
+        assert_eq!(
+            types.get("tricluster_serve_job_queue_wait_seconds"),
+            Some(&"histogram".to_string())
+        );
+        // Gauges render once each with the sampled value.
+        for (name, want) in gauges {
+            let fam = metric_name(name);
+            assert_eq!(types.get(&fam), Some(&"gauge".to_string()), "{fam} typed");
+            let hits: Vec<&Sample> = samples.iter().filter(|s| s.family == fam).collect();
+            assert_eq!(hits.len(), 1, "{fam} appears once");
+            assert_eq!(hits[0].value, want, "{fam} value");
+        }
     }
 }

@@ -87,7 +87,7 @@ struct Inner {
 /// type implements [`EventSink`] as a discovery vehicle only — it records
 /// nothing through the sink methods ([`EventSink::enabled`] stays `false`)
 /// but answers [`EventSink::timeline`] with itself, so the miner finds it
-/// through any `Tee`/[`Fanout`](crate::Fanout) composition.
+/// through any [`Fanout`](crate::Fanout) composition.
 #[derive(Clone)]
 pub struct Timeline {
     inner: Arc<Inner>,

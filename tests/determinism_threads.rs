@@ -211,7 +211,7 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
 #[test]
 fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
     use std::sync::Arc;
-    use tricluster::core::obs::httpd::{http_get, MetricsServer};
+    use tricluster::core::obs::httpd::{http_get, scrape_handler, HttpServer};
     use tricluster::core::obs::metrics::Registry;
     use tricluster::core::obs::names;
     use tricluster::core::obs::progress::Progress;
@@ -226,7 +226,8 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
             let recorder = Recorder::new();
             let registry = Arc::new(Registry::new());
             registry.attach_progress(Arc::new(Progress::new()));
-            let server = MetricsServer::serve("127.0.0.1:0", registry.clone()).unwrap();
+            let server =
+                HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry.clone())).unwrap();
             let sink = Fanout(vec![&recorder, &*registry]);
             let r = mine_observed(&m, &smoke_params(threads, fanout), &sink).unwrap();
             assert_eq!(
