@@ -39,7 +39,7 @@
 use std::time::Duration;
 
 use tricluster_bench::regress::{determinism_diff, diff, Tolerances};
-use tricluster_bench::{kernel, measure_threads_observed, scaling_spec};
+use tricluster_bench::{fig7_params, kernel, measure, scaling_spec};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
 use tricluster_core::obs::timeline::Timeline;
@@ -241,7 +241,9 @@ fn run_scaling(rest: &[String]) -> i32 {
             Some(t) => t,
             None => &NullSink,
         };
-        let p = measure_threads_observed(&spec, n as f64, n, sink);
+        let mut params = fig7_params(&spec);
+        params.threads = Some(n);
+        let p = measure(&spec, n as f64, params, sink);
         if let (Some(t), Some(dir)) = (&timeline, &trace_dir) {
             let path = dir.join(format!("scaling-threads-{n}.trace.json"));
             if let Err(e) = std::fs::write(&path, t.to_chrome_json().render_pretty() + "\n") {

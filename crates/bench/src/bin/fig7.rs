@@ -24,14 +24,13 @@
 //! cluster count, (e) flat in overlap %, (f) growing with noise.
 
 use std::sync::Arc;
-use tricluster_bench::{
-    fig7_params, fig7_smoke_sweeps, fig7_sweeps, full_scale, measure, measure_with_observed,
-};
+use tricluster_bench::{fig7_params, fig7_smoke_sweeps, fig7_sweeps, full_scale, measure};
 use tricluster_core::obs::httpd::{scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::Progress;
+use tricluster_core::obs::{EventSink, NullSink};
 
 /// With `--features track-alloc`, measure heap usage so sweep points carry
 /// `peak_live_bytes`/`alloc_bytes` and the regression gate covers memory.
@@ -98,12 +97,11 @@ fn main() {
         println!("{xlabel},seconds,clusters,recall");
         let mut points_json: Vec<Json> = Vec::new();
         for (x, spec) in points {
-            let p = match &metrics {
-                Some((registry, _server)) => {
-                    measure_with_observed(&spec, x, fig7_params(&spec), &**registry)
-                }
-                None => measure(&spec, x),
+            let sink: &dyn EventSink = match &metrics {
+                Some((registry, _server)) => &**registry,
+                None => &NullSink,
             };
+            let p = measure(&spec, x, fig7_params(&spec), sink);
             println!(
                 "{},{:.3},{},{:.2}",
                 p.x,

@@ -12,7 +12,8 @@
 
 use std::fs;
 use std::path::Path;
-use tricluster_bench::{fig7_sweeps, full_scale, measure};
+use tricluster_bench::{fig7_params, fig7_sweeps, full_scale, measure};
+use tricluster_core::obs::NullSink;
 use tricluster_core::{mine, Params};
 use tricluster_microarray::yeast::{self, YeastSpec};
 use tricluster_plot::{Chart, SubplotGrid};
@@ -32,7 +33,7 @@ fn main() -> std::io::Result<()> {
         let series: Vec<(f64, f64)> = points
             .into_iter()
             .map(|(x, spec)| {
-                let p = measure(&spec, x);
+                let p = measure(&spec, x, fig7_params(&spec), &NullSink);
                 (x, p.time.as_secs_f64())
             })
             .collect();

@@ -12,8 +12,8 @@ pub mod harness;
 pub mod kernel;
 
 use std::time::{Duration, Instant};
-use tricluster_core::obs::{alloc, json::Json, EventSink, NullSink};
-use tricluster_core::{mine_observed, FanoutDecision, Params, Timings};
+use tricluster_core::obs::{alloc, json::Json, EventSink};
+use tricluster_core::{FanoutDecision, Params, Session, Timings};
 use tricluster_synth::{generate, recovery, SynthSpec};
 
 pub mod regress;
@@ -118,46 +118,13 @@ impl SweepPoint {
     }
 }
 
-/// Generates the spec's dataset, mines it, and measures the point.
-pub fn measure(spec: &SynthSpec, x: f64) -> SweepPoint {
-    measure_with(spec, x, fig7_params(spec))
-}
-
-/// Like [`measure`], but pinning the mining run to `threads` worker
-/// threads; `x` is typically the thread count itself (the `bench scaling`
-/// sweep).
-pub fn measure_threads(spec: &SynthSpec, x: f64, threads: usize) -> SweepPoint {
-    measure_threads_observed(spec, x, threads, &NullSink)
-}
-
-/// Like [`measure_threads`], but mining through `sink` so a benchmark run
-/// can carry observability along — e.g. a [`Timeline`] sink to export a
-/// per-worker trace of each scaling point.
+/// Generates the spec's dataset, mines it with `params` through `sink`,
+/// and measures the point. Pass [`fig7_params`] for the sweep defaults and
+/// [`NullSink`](tricluster_core::obs::NullSink) for an unobserved run; a
+/// [`Timeline`] sink exports a per-worker trace of the point.
 ///
 /// [`Timeline`]: tricluster_core::obs::timeline::Timeline
-pub fn measure_threads_observed(
-    spec: &SynthSpec,
-    x: f64,
-    threads: usize,
-    sink: &dyn EventSink,
-) -> SweepPoint {
-    let mut params = fig7_params(spec);
-    params.threads = Some(threads);
-    measure_with_observed(spec, x, params, sink)
-}
-
-fn measure_with(spec: &SynthSpec, x: f64, params: Params) -> SweepPoint {
-    measure_with_observed(spec, x, params, &NullSink)
-}
-
-/// The fully general measurement: generates the spec's dataset and mines it
-/// through `sink` with the given parameters.
-pub fn measure_with_observed(
-    spec: &SynthSpec,
-    x: f64,
-    params: Params,
-    sink: &dyn EventSink,
-) -> SweepPoint {
+pub fn measure(spec: &SynthSpec, x: f64, params: Params, sink: &dyn EventSink) -> SweepPoint {
     let data = generate(spec);
     // Reset the allocator's high-water mark after generation so the peak
     // reflects the mine itself, not the dataset build. No-ops without the
@@ -165,7 +132,9 @@ pub fn measure_with_observed(
     alloc::reset_peak();
     let before = alloc::snapshot();
     let start = Instant::now();
-    let result = mine_observed(&data.matrix, &params, sink).expect("bench inputs are valid");
+    let result = Session::new(params)
+        .run(&data.matrix, sink)
+        .expect("bench inputs are valid");
     let time = start.elapsed();
     let after = alloc::snapshot();
     let report = recovery::score(&data.truth, &result.triclusters, 0.5);
@@ -465,6 +434,7 @@ pub mod nocache {
 mod tests {
     use super::*;
     use tricluster_core::bicluster::mine_biclusters;
+    use tricluster_core::obs::NullSink;
     use tricluster_core::rangegraph::build_range_graph;
     use tricluster_core::testdata::paper_table1;
 
@@ -489,7 +459,9 @@ mod tests {
             time_range: (3, 3),
             ..SynthSpec::default()
         };
-        let rendered = measure(&spec, 20.0).to_json().render();
+        let rendered = measure(&spec, 20.0, fig7_params(&spec), &NullSink)
+            .to_json()
+            .render();
         for needle in [
             "\"phases\"",
             "slices_wall_secs",
@@ -514,7 +486,7 @@ mod tests {
             time_range: (3, 3),
             ..SynthSpec::default()
         };
-        let point = measure(&spec, 40.0);
+        let point = measure(&spec, 40.0, fig7_params(&spec), &NullSink);
         assert!(point.recall >= 0.99, "{point:?}");
         assert!(point.clusters >= 3);
     }

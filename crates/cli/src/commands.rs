@@ -17,8 +17,8 @@ use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink, NullSink, Recorder};
 use tricluster_core::runreport;
 use tricluster_core::{
-    cluster_metrics_observed, mine_auto_observed, mine_shifting, Engine, FanoutMode, MergeParams,
-    MineError, MiningResult, Params, TenantCaps,
+    cluster_metrics_observed, mine_auto, mine_shifting, Engine, FanoutMode, MergeParams, MineError,
+    MiningResult, Params, TenantCaps,
 };
 use tricluster_matrix::{io, Labels, Matrix3};
 use tricluster_synth::{generate, SynthSpec};
@@ -447,7 +447,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         _ => None,
     };
     let result = if a.has("auto") {
-        mine_auto_observed(matrix, &params, sink)
+        mine_auto(matrix, &params, sink)
     } else {
         // A one-shot run is a session with unlimited caps: identical code
         // path to a daemon job, minus the clamping.
@@ -849,9 +849,13 @@ fn read_archived_report(
 fn runs_list(argv: &[String]) -> Result<(), CliError> {
     let a = args::parse(argv, &[], &["ids"]).map_err(CliError::Usage)?;
     let ledger = open_ledger(&a, "list")?;
-    let entries = ledger
-        .list()
+    let scan = ledger
+        .scan()
         .map_err(|e| CliError::Run(format!("runs list: {e}")))?;
+    if let Some(torn) = &scan.torn_tail {
+        eprintln!("runs list: skipped a torn final index line: {torn}");
+    }
+    let entries = scan.entries;
     if a.has("ids") {
         for e in &entries {
             println!("{}", e.id);

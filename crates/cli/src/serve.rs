@@ -77,7 +77,7 @@ use tricluster_core::obs::timeline::{self, Timeline};
 use tricluster_core::obs::{EventSink, Fanout};
 use tricluster_core::runreport;
 use tricluster_core::{
-    cluster_metrics_observed, CancelHandle, Dataset, Engine, MineError, Params, TenantCaps,
+    cluster_metrics_observed, CancelHandle, Dataset, Engine, MineError, Session, TenantCaps,
 };
 
 /// Fault-injection sites of the serve layer, in request order. (The
@@ -197,6 +197,8 @@ struct Job {
     clamped: bool,
     state: JobState,
     cancelling: bool,
+    /// A clone of the session's cancel handle, so `DELETE` and a cancelling
+    /// shutdown can trip the run while a worker holds the session.
     cancel: CancelHandle,
     progress: Arc<Progress>,
     /// Lifecycle instants (enqueued/started/finished/cancelled) plus the
@@ -205,7 +207,8 @@ struct Job {
     // Held only while queued/running; dropped with the job's completion
     // so finished jobs stop pinning their matrices.
     dataset: Option<Arc<Dataset>>,
-    params: Option<Params>,
+    /// Taken by the worker that runs the job.
+    session: Option<Session>,
     submitted: Instant,
     outcome: Option<Outcome>,
 }
@@ -278,6 +281,43 @@ impl Shared {
         self.state
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+/// The daemon's gauges at one instant, as `/stats`, `/jobs` and
+/// `/metrics` report them: queue and job counts from the locked state,
+/// plus the dataset cache's counters.
+struct Gauges {
+    queue_depth: u64,
+    admitted_bytes: u64,
+    running: u64,
+    retained: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_evictions: u64,
+}
+
+impl Gauges {
+    fn sample(shared: &Shared, state: &State) -> Gauges {
+        let (cache_hits, cache_misses, cache_evictions) = shared.engine.cache_stats();
+        let count = |keep: fn(&Job) -> bool| state.jobs.values().filter(|j| keep(j)).count();
+        Gauges {
+            queue_depth: state.queue.len() as u64,
+            admitted_bytes: state.admitted_bytes,
+            running: count(|j| j.state == JobState::Running) as u64,
+            retained: count(|j| j.state.is_finished()) as u64,
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+        }
+    }
+
+    /// The `dataset_cache` object of `/stats` and `/jobs`.
+    fn cache_json(&self) -> Json {
+        Json::obj()
+            .with("hits", Json::U64(self.cache_hits))
+            .with("misses", Json::U64(self.cache_misses))
+            .with("evictions", Json::U64(self.cache_evictions))
     }
 }
 
@@ -389,7 +429,7 @@ impl Daemon {
 /// daemon drains and the queue is empty.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (id, request_id, dataset, params, cancel, progress, tl, queue_wait) = {
+        let (id, request_id, dataset, session, progress, tl, queue_wait) = {
             let mut state = shared.lock();
             loop {
                 if let Some(&id) = state.queue.front() {
@@ -397,13 +437,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                     let job = state.jobs.get_mut(&id).expect("queued job exists");
                     job.state = JobState::Running;
                     let dataset = job.dataset.clone().expect("queued job holds its dataset");
-                    let params = job.params.clone().expect("queued job holds its params");
+                    let session = job.session.take().expect("queued job holds its session");
                     break (
                         id,
                         job.request_id,
                         dataset,
-                        params,
-                        job.cancel.clone(),
+                        session,
                         job.progress.clone(),
                         job.timeline.clone(),
                         job.submitted.elapsed(),
@@ -424,9 +463,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // escaping the miner's own boundaries) is downgraded to a failed
         // record; the worker and every other job are untouched.
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(
-                shared, id, request_id, &tl, &dataset, &params, &cancel, &progress,
-            )
+            run_job(shared, id, request_id, &tl, &dataset, &session, &progress)
         }))
         .unwrap_or_else(|payload| Err(FailedJob::Panic(payload)));
         shared.metrics.span(names::SV_RUN, started.elapsed());
@@ -470,15 +507,14 @@ enum FailedJob {
 /// stack matches `mine --report-json` exactly (histograms on, progress
 /// gauges live), so the deterministic report sections are byte-identical
 /// to a one-shot run over the same dataset and params.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+#[allow(clippy::type_complexity)]
 fn run_job(
     shared: &Arc<Shared>,
     id: u64,
     request_id: u64,
     tl: &Arc<Timeline>,
     dataset: &Dataset,
-    params: &Params,
-    cancel: &CancelHandle,
+    session: &Session,
     progress: &Arc<Progress>,
 ) -> Result<(usize, Option<String>, Json), FailedJob> {
     if let Some(msg) = tricluster_failpoint::trigger("serve.job.spawn") {
@@ -489,10 +525,11 @@ fn run_job(
     let progress_sink = ProgressSink(progress.clone());
     let hist = HistogramTap;
     let sink = Fanout(vec![&hist as &dyn EventSink, &progress_sink, tl.as_ref()]);
+    let params = session.params();
     progress.set_budgets(params.deadline, params.max_memory, params.max_candidates);
-    let result =
-        tricluster_core::mine_observed_cancellable(&dataset.matrix, params, &sink, cancel.clone())
-            .map_err(|e: MineError| FailedJob::Message(e.to_string()))?;
+    let result = session
+        .run(&dataset.matrix, &sink)
+        .map_err(|e: MineError| FailedJob::Message(e.to_string()))?;
     let mut report = result.report.clone();
     let rec = tricluster_core::obs::Recorder::new();
     let met = cluster_metrics_observed(&dataset.matrix, &result.triclusters, &rec);
@@ -559,7 +596,6 @@ fn finish_job(shared: &Arc<Shared>, id: u64, outcome: Outcome) {
     let released = job.matrix_bytes;
     let finished = job.state;
     job.dataset = None;
-    job.params = None;
     job.outcome = Some(outcome);
     state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
     evict_finished(&mut state);
@@ -699,7 +735,6 @@ fn error_response(status: u16, code: &str, detail: &str) -> Response {
 }
 
 fn stats_response(shared: &Arc<Shared>) -> Response {
-    let (hits, misses, evictions) = shared.engine.cache_stats();
     let svc = &shared.metrics;
     let counters = Json::obj()
         .with(
@@ -735,17 +770,13 @@ fn stats_response(shared: &Arc<Shared>) -> Response {
             Json::U64(svc.counter_value(names::SV_HTTP_REQUESTS)),
         );
     let state = shared.lock();
-    let running = state
-        .jobs
-        .values()
-        .filter(|j| j.state == JobState::Running)
-        .count();
+    let g = Gauges::sample(shared, &state);
     let body = Json::obj()
-        .with("queue_depth", Json::U64(state.queue.len() as u64))
+        .with("queue_depth", Json::U64(g.queue_depth))
         .with("queue_capacity", Json::U64(shared.cfg.queue_depth as u64))
-        .with("running", Json::U64(running as u64))
+        .with("running", Json::U64(g.running))
         .with("workers", Json::U64(shared.cfg.workers as u64))
-        .with("admitted_bytes", Json::U64(state.admitted_bytes))
+        .with("admitted_bytes", Json::U64(g.admitted_bytes))
         .with(
             "memory_budget",
             match shared.cfg.memory_budget {
@@ -756,10 +787,7 @@ fn stats_response(shared: &Arc<Shared>) -> Response {
         .with("draining", Json::Bool(state.draining.is_some()))
         .with(
             "dataset_cache",
-            Json::obj()
-                .with("hits", Json::U64(hits))
-                .with("misses", Json::U64(misses))
-                .with("evictions", Json::U64(evictions))
+            g.cache_json()
                 .with("entries", Json::U64(shared.engine.cached_datasets() as u64)),
         )
         .with("counters", counters);
@@ -770,35 +798,20 @@ fn stats_response(shared: &Arc<Shared>) -> Response {
 /// and latency histograms come from the metrics [`Registry`]; gauges are
 /// sampled here, under the daemon lock, at scrape time.
 fn metrics_response(shared: &Arc<Shared>) -> Response {
-    let (hits, misses, evictions) = shared.engine.cache_stats();
-    let (queue_depth, admitted_bytes, running, retained) = {
-        let state = shared.lock();
-        let running = state
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .count();
-        let retained = state
-            .jobs
-            .values()
-            .filter(|j| j.state.is_finished())
-            .count();
-        (state.queue.len(), state.admitted_bytes, running, retained)
-    };
+    let g = Gauges::sample(shared, &shared.lock());
     let gauges = [
-        (names::SV_QUEUE_DEPTH, queue_depth as f64),
-        (names::SV_ADMITTED_BYTES, admitted_bytes as f64),
-        (names::SV_WORKERS_BUSY, running as f64),
-        (names::SV_JOBS_RETAINED, retained as f64),
-        (names::SV_CACHE_HITS, hits as f64),
-        (names::SV_CACHE_MISSES, misses as f64),
-        (names::SV_CACHE_EVICTIONS, evictions as f64),
+        (names::SV_QUEUE_DEPTH, g.queue_depth as f64),
+        (names::SV_ADMITTED_BYTES, g.admitted_bytes as f64),
+        (names::SV_WORKERS_BUSY, g.running as f64),
+        (names::SV_JOBS_RETAINED, g.retained as f64),
+        (names::SV_CACHE_HITS, g.cache_hits as f64),
+        (names::SV_CACHE_MISSES, g.cache_misses as f64),
+        (names::SV_CACHE_EVICTIONS, g.cache_evictions as f64),
     ];
     Response::openmetrics(shared.metrics.render_openmetrics(&gauges))
 }
 
 fn list_jobs(shared: &Arc<Shared>) -> Response {
-    let (hits, misses, evictions) = shared.engine.cache_stats();
     let svc = &shared.metrics;
     let service = Json::obj()
         .with(
@@ -818,27 +831,17 @@ fn list_jobs(shared: &Arc<Shared>) -> Response {
             Json::U64(svc.counter_value(names::SV_JOBS_CANCELLED)),
         );
     let state = shared.lock();
-    let running = state
-        .jobs
-        .values()
-        .filter(|j| j.state == JobState::Running)
-        .count();
+    let g = Gauges::sample(shared, &state);
     let jobs: Vec<Json> = state.jobs.values().map(Job::summary_json).collect();
     let body = Json::obj()
         .with("jobs", Json::Arr(jobs))
         .with(
             "service",
             service
-                .with("queue_depth", Json::U64(state.queue.len() as u64))
-                .with("running", Json::U64(running as u64)),
+                .with("queue_depth", Json::U64(g.queue_depth))
+                .with("running", Json::U64(g.running)),
         )
-        .with(
-            "dataset_cache",
-            Json::obj()
-                .with("hits", Json::U64(hits))
-                .with("misses", Json::U64(misses))
-                .with("evictions", Json::U64(evictions)),
-        );
+        .with("dataset_cache", g.cache_json());
     Response::json(200, body.render_pretty() + "\n")
 }
 
@@ -956,7 +959,6 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     };
     let session = shared.engine.session(&requested);
     let clamped = session.was_clamped();
-    let params = session.params().clone();
     let (ng, ns, nt) = dataset.matrix.dims();
     let matrix_bytes = (ng * ns * nt * std::mem::size_of::<f64>()) as u64;
     // The job's timeline starts on the HTTP thread: the enqueued instant
@@ -1026,7 +1028,7 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         progress: Arc::new(Progress::new()),
         timeline: tl,
         dataset: Some(dataset.clone()),
-        params: Some(params),
+        session: Some(session),
         submitted: Instant::now(),
         outcome: None,
     };
@@ -1073,7 +1075,7 @@ fn cancel_job(shared: &Arc<Shared>, id: u64) -> Response {
             job.state = JobState::Cancelled;
             job.cancelling = true;
             job.dataset = None;
-            job.params = None;
+            job.session = None;
             job.outcome = Some(Outcome {
                 clusters: 0,
                 truncation: Some("cancelled".into()),
@@ -1154,7 +1156,7 @@ fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
             if let Some(job) = state.jobs.get_mut(&id) {
                 job.state = JobState::Cancelled;
                 job.dataset = None;
-                job.params = None;
+                job.session = None;
                 job.outcome = Some(Outcome {
                     clusters: 0,
                     truncation: Some("cancelled".into()),
@@ -1552,6 +1554,35 @@ mod tests {
         let (status, _) = http_post(&format!("{base}/shutdown"), "application/json", b"").unwrap();
         assert_eq!(status, 200);
         daemon.wait();
+    }
+
+    /// A body nested 100,000 arrays deep used to overflow the connection
+    /// thread's stack and abort the whole daemon; now it is one 400.
+    #[test]
+    fn deeply_nested_body_is_a_bad_request_not_an_abort() {
+        let _scenario = failpoint::scenario();
+        let daemon = Daemon::start(test_cfg()).unwrap();
+        let base = daemon.url();
+        let hostile = "[".repeat(100_000);
+        let (status, text) = http_post(
+            &format!("{base}/jobs"),
+            "application/json",
+            hostile.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(status, 400, "{text}");
+        let body = Json::parse(text.trim()).unwrap();
+        assert_eq!(body.get("error").unwrap().as_str(), Some("bad_request"));
+        assert!(text.contains("nesting deeper than"), "{text}");
+
+        let (status, accepted) = post_job(&base, &submit_body("after", &["--eps", "0.01"]));
+        assert_eq!(status, 202, "{accepted:?}");
+        let doc = wait_finished(&base, accepted.get("id").unwrap().as_u64().unwrap());
+        assert_eq!(
+            doc.get_path(&["job", "state"]).unwrap().as_str(),
+            Some("done")
+        );
+        shut_down(daemon);
     }
 
     #[test]

@@ -22,90 +22,47 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{names, timeline, EventSink, Histogram};
+use tricluster_obs::{names, timeline};
 
-/// Value distributions of one bicluster search, collected only on request
-/// (see [`mine_biclusters_profiled`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BiclusterHists {
-    /// DFS depth (current sample-set size) at each expanded node.
-    pub depth: Histogram,
-    /// Remaining candidate sample count at each expanded node.
-    pub candidate_set_size: Histogram,
-    /// Children actually recursed into from each expanded node.
-    pub fanout: Histogram,
-}
-
-/// Statistics of one per-slice bicluster search.
-///
-/// All fields are input-determined (DFS order is fixed), so they are
-/// identical across runs and thread counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BiclusterStats {
-    /// DFS nodes (candidate sample sets) visited.
-    pub nodes: u64,
-    /// Candidate-visit budget consumed (0 when [`Params::max_candidates`]
-    /// is unset).
-    pub budget_spent: u64,
-    /// Gene-set combinations produced by edge-combination enumeration.
-    pub gene_combos: u64,
-    /// Edge combinations dropped because an identical gene-set was already
-    /// enumerated at the same node.
-    pub dedup_hits: u64,
-    /// Candidates recorded into the (tentative) result set.
-    pub recorded: u64,
-    /// Candidates rejected by the `δ^x`/`δ^y` checks at record time.
-    pub rejected_delta: u64,
-    /// Candidates rejected because an existing cluster subsumes them.
-    pub rejected_subsumed: u64,
-    /// Previously recorded clusters displaced by a larger candidate.
-    pub replaced: u64,
-    /// Branch-local survivors dropped at the cross-branch merge because a
-    /// cluster from an earlier branch subsumes them (see
-    /// [`mine_biclusters_workers`]).
-    pub merge_subsumed: u64,
-    /// Value distributions; `None` unless requested, so the default path
-    /// never pays for bucket arithmetic.
-    pub hists: Option<Box<BiclusterHists>>,
-}
-
-impl BiclusterStats {
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: &BiclusterStats) {
-        self.nodes += other.nodes;
-        self.budget_spent += other.budget_spent;
-        self.gene_combos += other.gene_combos;
-        self.dedup_hits += other.dedup_hits;
-        self.recorded += other.recorded;
-        self.rejected_delta += other.rejected_delta;
-        self.rejected_subsumed += other.rejected_subsumed;
-        self.replaced += other.replaced;
-        self.merge_subsumed += other.merge_subsumed;
-        if let Some(o) = &other.hists {
-            let h = self.hists.get_or_insert_with(Box::default);
-            h.depth.merge(&o.depth);
-            h.candidate_set_size.merge(&o.candidate_set_size);
-            h.fanout.merge(&o.fanout);
-        }
+phase_stats! {
+    /// Statistics of one per-slice bicluster search.
+    ///
+    /// All fields are input-determined (DFS order is fixed), so they are
+    /// identical across runs and thread counts.
+    pub struct BiclusterStats {
+        /// DFS nodes (candidate sample sets) visited.
+        nodes => names::BC_NODES,
+        /// Candidate-visit budget consumed (0 when [`Params::max_candidates`]
+        /// is unset).
+        budget_spent => names::BC_BUDGET_SPENT,
+        /// Gene-set combinations produced by edge-combination enumeration.
+        gene_combos => names::BC_COMBOS,
+        /// Edge combinations dropped because an identical gene-set was
+        /// already enumerated at the same node.
+        dedup_hits => names::BC_DEDUP_HITS,
+        /// Candidates recorded into the (tentative) result set.
+        recorded => names::BC_RECORDED,
+        /// Candidates rejected by the `δ^x`/`δ^y` checks at record time.
+        rejected_delta => names::BC_REJECTED_DELTA,
+        /// Candidates rejected because an existing cluster subsumes them.
+        rejected_subsumed => names::BC_REJECTED_SUBSUMED,
+        /// Previously recorded clusters displaced by a larger candidate.
+        replaced => names::BC_REPLACED,
+        /// Branch-local survivors dropped at the cross-branch merge because
+        /// a cluster from an earlier branch subsumes them (see
+        /// [`mine_biclusters_ctrl`]).
+        merge_subsumed => names::BC_MERGE_SUBSUMED,
     }
 
-    /// Mirrors the stats into counter increments (and histograms, when
-    /// collected) on `sink`.
-    pub fn publish(&self, sink: &dyn EventSink) {
-        sink.counter(names::BC_NODES, self.nodes);
-        sink.counter(names::BC_BUDGET_SPENT, self.budget_spent);
-        sink.counter(names::BC_COMBOS, self.gene_combos);
-        sink.counter(names::BC_DEDUP_HITS, self.dedup_hits);
-        sink.counter(names::BC_RECORDED, self.recorded);
-        sink.counter(names::BC_REJECTED_DELTA, self.rejected_delta);
-        sink.counter(names::BC_REJECTED_SUBSUMED, self.rejected_subsumed);
-        sink.counter(names::BC_REPLACED, self.replaced);
-        sink.counter(names::BC_MERGE_SUBSUMED, self.merge_subsumed);
-        if let Some(h) = &self.hists {
-            sink.histogram(names::H_BC_DEPTH, &h.depth);
-            sink.histogram(names::H_BC_CANDIDATES, &h.candidate_set_size);
-            sink.histogram(names::H_BC_FANOUT, &h.fanout);
-        }
+    /// Value distributions of one bicluster search, collected only on
+    /// request (see [`mine_biclusters_ctrl`]).
+    pub struct BiclusterHists {
+        /// DFS depth (current sample-set size) at each expanded node.
+        depth => names::H_BC_DEPTH,
+        /// Remaining candidate sample count at each expanded node.
+        candidate_set_size => names::H_BC_CANDIDATES,
+        /// Children actually recursed into from each expanded node.
+        fanout => names::H_BC_FANOUT,
     }
 }
 
@@ -114,43 +71,22 @@ impl BiclusterStats {
 /// Returned biclusters satisfy `|X| ≥ mx`, `|Y| ≥ my`, the `δ^x`/`δ^y`
 /// range thresholds (when set), and are mutually non-contained.
 pub fn mine_biclusters(m: &Matrix3, rg: &RangeGraph, params: &Params) -> Vec<Bicluster> {
-    mine_biclusters_with_budget(m, rg, params).0
+    mine_biclusters_ctrl(m, rg, params, false, 1, &RunCtrl::unbounded()).0
 }
 
-/// Like [`mine_biclusters`], but also reports whether the search was cut
-/// short by [`Params::max_candidates`] (`true` = truncated: the result is
-/// sound but possibly incomplete).
-pub fn mine_biclusters_with_budget(
-    m: &Matrix3,
-    rg: &RangeGraph,
-    params: &Params,
-) -> (Vec<Bicluster>, bool) {
-    let (bcs, truncated, _) = mine_biclusters_observed(m, rg, params);
-    (bcs, truncated)
-}
-
-/// Like [`mine_biclusters_with_budget`], but also returns search statistics
-/// for the observability layer. The stats stay local to the call — no
-/// locking happens on the DFS hot path.
-pub fn mine_biclusters_observed(
-    m: &Matrix3,
-    rg: &RangeGraph,
-    params: &Params,
-) -> (Vec<Bicluster>, bool, BiclusterStats) {
-    mine_biclusters_profiled(m, rg, params, false)
-}
-
-/// Like [`mine_biclusters_observed`], optionally collecting DFS shape
-/// histograms (depth, candidate-set size, fan-out) into the returned stats.
-/// Collection costs a few bucket increments per DFS node, so callers gate
-/// it on [`EventSink::wants_histograms`].
+/// Like [`mine_biclusters`], also returning whether the search was
+/// truncated and its statistics, optionally with DFS shape histograms.
+/// Single-threaded and unbounded apart from [`Params::max_candidates`].
+///
+/// Kept as its own entry because the served-job benchmark's per-layer
+/// replay calls it with this signature.
 pub fn mine_biclusters_profiled(
     m: &Matrix3,
     rg: &RangeGraph,
     params: &Params,
     collect_hists: bool,
 ) -> (Vec<Bicluster>, bool, BiclusterStats) {
-    mine_biclusters_workers(m, rg, params, collect_hists, 1)
+    mine_biclusters_ctrl(m, rg, params, collect_hists, 1, &RunCtrl::unbounded())
 }
 
 /// Everything one top-level branch produced, keyed by its seed sample.
@@ -205,8 +141,15 @@ fn run_branch<'a>(
     }
 }
 
-/// Like [`mine_biclusters_profiled`], distributing the top-level sample-seed
-/// branches of the set-enumeration tree over up to `workers` threads.
+/// Mines the maximal biclusters of `rg`'s slice, distributing the
+/// top-level sample-seed branches of the set-enumeration tree over up to
+/// `workers` threads, under the run control of `ctrl`. This is the one
+/// implementation every other entry calls. Returns the biclusters, whether
+/// the search was truncated (the result is then sound but possibly
+/// incomplete), and the search statistics; `collect_hists` adds DFS shape
+/// histograms (depth, candidate-set size, fan-out) at a few bucket
+/// increments per node, so callers gate it on
+/// [`EventSink::wants_histograms`](tricluster_obs::EventSink::wants_histograms).
 ///
 /// Every thread count — including 1 — runs the *same* algorithm: each branch
 /// mines into a branch-local [`MaximalStore`], and the branch stores are
@@ -226,19 +169,9 @@ fn run_branch<'a>(
 /// the whole DFS, so branches run sequentially and thread the remaining
 /// budget in branch order — deterministic truncation, identical to the
 /// pre-parallel implementation.
-pub fn mine_biclusters_workers(
-    m: &Matrix3,
-    rg: &RangeGraph,
-    params: &Params,
-    collect_hists: bool,
-    workers: usize,
-) -> (Vec<Bicluster>, bool, BiclusterStats) {
-    mine_biclusters_ctrl(m, rg, params, collect_hists, workers, &RunCtrl::unbounded())
-}
-
-/// Like [`mine_biclusters_workers`], under the run control of `ctrl`: the
-/// deadline is polled at every DFS node, and — when `ctrl` collects faults —
-/// a panic inside one top-level branch downgrades to a
+///
+/// The deadline is polled at every DFS node, and — when `ctrl` collects
+/// faults — a panic inside one top-level branch downgrades to a
 /// [`WorkerFailure`](crate::WorkerFailure) costing only that branch's
 /// clusters. The surviving branches still merge in ascending seed order, so
 /// the output stays deterministic given the same set of survivors.
@@ -928,7 +861,7 @@ mod tests {
         let m = paper_table1();
         let p = params(0.01, 3, 3);
         let rg = build_range_graph(&m, 0, &p);
-        let (bcs, truncated, stats) = mine_biclusters_observed(&m, &rg, &p);
+        let (bcs, truncated, stats) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert!(!truncated);
         assert_eq!(bcs.len(), 3);
         assert!(stats.nodes > 0);
@@ -938,7 +871,7 @@ mod tests {
             stats.recorded - stats.replaced - stats.merge_subsumed,
             bcs.len() as u64
         );
-        let (_, _, again) = mine_biclusters_observed(&m, &rg, &p);
+        let (_, _, again) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert_eq!(stats, again);
     }
 
@@ -948,15 +881,17 @@ mod tests {
         // my=2 exercises cross-branch subsumption (C4 lives in branch s1)
         for p in [params(0.01, 3, 3), params(0.01, 3, 2)] {
             let rg = build_range_graph(&m, 0, &p);
-            let (bcs1, tr1, st1) = mine_biclusters_workers(&m, &rg, &p, true, 1);
+            let (bcs1, tr1, st1) =
+                mine_biclusters_ctrl(&m, &rg, &p, true, 1, &RunCtrl::unbounded());
             for workers in [2usize, 4, 8] {
-                let (bcs, tr, st) = mine_biclusters_workers(&m, &rg, &p, true, workers);
+                let (bcs, tr, st) =
+                    mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded());
                 assert_eq!(bcs, bcs1, "clusters differ at workers={workers}");
                 assert_eq!(tr, tr1);
                 assert_eq!(st, st1, "stats differ at workers={workers}");
             }
             // result-vector order itself is thread-invariant (not just the set)
-            let (plain, _, st_plain) = mine_biclusters_observed(&m, &rg, &p);
+            let (plain, _, st_plain) = mine_biclusters_profiled(&m, &rg, &p, false);
             assert_eq!(plain, bcs1);
             assert_eq!(
                 st_plain.recorded - st_plain.replaced - st_plain.merge_subsumed,
@@ -1012,7 +947,7 @@ mod tests {
             .build()
             .unwrap();
         let rg = build_range_graph(&m, 0, &p);
-        let (_, truncated, stats) = mine_biclusters_observed(&m, &rg, &p);
+        let (_, truncated, stats) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert!(truncated);
         assert_eq!(stats.budget_spent, 5);
         assert_eq!(stats.nodes, 5);
@@ -1035,7 +970,7 @@ mod tests {
         // fanout sums to nodes - 1 (every non-root node has one parent edge)
         assert_eq!(h.fanout.sum(), u128::from(stats.nodes - 1));
         // hist collection must not change the mined clusters or scalars
-        let (plain_bcs, _, plain) = mine_biclusters_observed(&m, &rg, &p);
+        let (plain_bcs, _, plain) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert_eq!(bcs, plain_bcs);
         assert_eq!(plain.nodes, stats.nodes);
         assert!(plain.hists.is_none());

@@ -15,7 +15,7 @@
 
 use crate::cancel::CancelHandle;
 use crate::error::MineError;
-use crate::miner::{mine_observed_cancellable, MiningResult};
+use crate::miner::{run_session, MiningResult};
 use crate::params::Params;
 use std::io::BufReader;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,15 +136,16 @@ impl Session {
     }
 
     /// Mines `m` on the calling thread, routing instrumentation through
-    /// `sink`. Exactly [`mine_observed`](crate::mine_observed) plus the
-    /// session's cancel handle.
+    /// `sink`, under the session's budgets and cancel handle. This is the
+    /// one observed run entry: [`mine`](crate::mine) and
+    /// [`mine_auto`](crate::mine_auto) run through it too.
     ///
     /// # Errors
     ///
     /// The same typed [`MineError`]s as [`mine`](crate::mine);
     /// cancellation is *not* an error (it truncates the result).
     pub fn run(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<MiningResult, MineError> {
-        mine_observed_cancellable(m, &self.params, sink, self.handle.clone())
+        run_session(m, &self.params, sink, self.handle.clone())
     }
 }
 
@@ -193,9 +194,8 @@ impl Engine {
     pub fn session(&self, params: &Params) -> Session {
         let (params, clamped) = self.caps.clamp(params);
         Session {
-            params,
             clamped,
-            handle: CancelHandle::new(),
+            ..Session::new(params)
         }
     }
 

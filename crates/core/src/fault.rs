@@ -164,14 +164,8 @@ impl RunCtrl {
         }
     }
 
-    /// Budgets from `params`, failures collected — the behavior of
-    /// [`mine`](crate::mine).
-    pub fn for_params(params: &Params) -> Self {
-        RunCtrl::for_params_with_handle(params, crate::cancel::CancelHandle::new())
-    }
-
-    /// Like [`RunCtrl::for_params`], polling an external
-    /// [`CancelHandle`](crate::cancel::CancelHandle) alongside the budgets.
+    /// Budgets from `params`, failures collected, polling `handle` for
+    /// cancellation — the behavior of [`Session::run`](crate::Session::run).
     pub fn for_params_with_handle(params: &Params, handle: crate::cancel::CancelHandle) -> Self {
         RunCtrl {
             token: CancelToken::with_handle(params.deadline, params.max_memory, handle),

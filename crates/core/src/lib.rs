@@ -24,8 +24,9 @@
 //!    (thresholds `η`, `γ`).
 //! 5. [`metrics`] — the paper's cluster-quality metrics.
 //!
-//! The high-level entry point is [`mine`] (or [`Miner`] for reuse across
-//! runs):
+//! The high-level entry point is [`mine`]; [`Session::run`] is the same
+//! run with a sink for instrumentation and a cancel handle, and
+//! [`mine_auto`] transposes first:
 //!
 //! ```
 //! use tricluster_core::{mine, Params};
@@ -63,6 +64,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+mod stats;
+
 pub mod bicluster;
 pub mod cancel;
 pub mod classify;
@@ -92,10 +96,7 @@ pub use engine::{Dataset, Engine, Session, TenantCaps};
 pub use error::MineError;
 pub use fault::{RunCtrl, WorkerFailure, FAILPOINTS};
 pub use metrics::{cluster_metrics, cluster_metrics_observed, Metrics};
-pub use miner::{
-    mine, mine_auto, mine_auto_observed, mine_observed, mine_observed_cancellable, FanoutDecision,
-    FanoutLevel, Miner, MiningResult, Timings,
-};
+pub use miner::{mine, mine_auto, FanoutDecision, FanoutLevel, MiningResult, Timings};
 pub use params::{FanoutMode, MergeParams, Params, ParamsBuilder, ParamsError};
 pub use shift::{mine_shifting, ShiftingCluster};
 

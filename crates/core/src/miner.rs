@@ -1,15 +1,17 @@
 //! High-level mining pipeline (paper §4).
 //!
-//! [`mine`] wires the four phases together: per-slice range multigraphs,
-//! per-slice bicluster mining (fanned out across threads — slices are
-//! independent), tricluster enumeration, and the optional merge/prune pass.
-//! [`mine_auto`] additionally applies the canonical transposition (largest
-//! dimension mined as genes, per the symmetry Lemma 1) and maps the results
-//! back to the caller's coordinates.
+//! [`Session::run`] wires the four phases together: per-slice range
+//! multigraphs, per-slice bicluster mining (fanned out across threads —
+//! slices are independent), tricluster enumeration, and the optional
+//! merge/prune pass. [`mine`] is the unobserved one-liner over a fresh
+//! session; [`mine_auto`] additionally applies the canonical transposition
+//! (largest dimension mined as genes, per the symmetry Lemma 1) and maps
+//! the results back to the caller's coordinates.
 
 use crate::bicluster::{mine_biclusters_ctrl, BiclusterStats};
-use crate::cancel::TruncationReason;
+use crate::cancel::{CancelHandle, TruncationReason};
 use crate::cluster::{Bicluster, Tricluster};
+use crate::engine::Session;
 use crate::error::MineError;
 use crate::fault::{fail_point, fail_point_panic, isolate, panic_message, RunCtrl, WorkerFailure};
 use crate::metrics::{cluster_metrics, Metrics};
@@ -140,30 +142,6 @@ impl MiningResult {
     /// Computes the paper's quality metrics for the final clusters.
     pub fn metrics(&self, m: &Matrix3) -> Metrics {
         cluster_metrics(m, &self.triclusters)
-    }
-}
-
-/// Reusable mining facade. Currently stateless; exists so callers can hold
-/// a configured miner and to leave room for cross-run caching.
-#[derive(Debug, Clone)]
-pub struct Miner {
-    params: Params,
-}
-
-impl Miner {
-    /// Creates a miner with the given parameters.
-    pub fn new(params: Params) -> Self {
-        Miner { params }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
-    /// Runs the full pipeline on `m`.
-    pub fn mine(&self, m: &Matrix3) -> Result<MiningResult, MineError> {
-        mine(m, &self.params)
     }
 }
 
@@ -345,7 +323,7 @@ fn mine_slice(
 /// every isolation boundary. Exhausting a run budget mid-flight is *not* an
 /// error: it yields `Ok` with [`MiningResult::truncation`] set.
 pub fn mine(m: &Matrix3, params: &Params) -> Result<MiningResult, MineError> {
-    mine_observed(m, params, &NullSink)
+    Session::new(params.clone()).run(m, &NullSink)
 }
 
 /// Validates the inputs [`mine`] is about to work on; all checks are
@@ -391,32 +369,21 @@ fn validate_input(m: &Matrix3, params: &Params) -> Result<(), MineError> {
     Ok(())
 }
 
-/// Like [`mine`], routing instrumentation through `sink`.
+/// The body of [`Session::run`]: validates the input, then runs the
+/// pipeline under budgets from `params` with `handle` wired into the run's
+/// [`CancelToken`](crate::CancelToken). Tripping the handle from another
+/// thread winds the run down cooperatively into an `Ok` result truncated
+/// with [`TruncationReason::Cancelled`].
 ///
 /// The sink receives trace events as they happen (from inside the worker
 /// threads; it must be `Sync`) plus every counter and span of the final
 /// [`MiningResult::report`]. Pass [`NullSink`] for zero-overhead mining —
 /// the report is built from locally accumulated stats either way.
-pub fn mine_observed(
+pub(crate) fn run_session(
     m: &Matrix3,
     params: &Params,
     sink: &dyn EventSink,
-) -> Result<MiningResult, MineError> {
-    mine_observed_cancellable(m, params, sink, crate::cancel::CancelHandle::new())
-}
-
-/// Like [`mine_observed`], with an external [`CancelHandle`] wired into the
-/// run's [`CancelToken`]: tripping the handle from another thread winds the
-/// run down cooperatively into an `Ok` result truncated with
-/// [`TruncationReason::Cancelled`]. This is the entry point the
-/// [`Session`](crate::engine::Session) API builds on.
-///
-/// [`CancelHandle`]: crate::cancel::CancelHandle
-pub fn mine_observed_cancellable(
-    m: &Matrix3,
-    params: &Params,
-    sink: &dyn EventSink,
-    handle: crate::cancel::CancelHandle,
+    handle: CancelHandle,
 ) -> Result<MiningResult, MineError> {
     validate_input(m, params)?;
     let mut ctrl = RunCtrl::for_params_with_handle(params, handle);
@@ -498,7 +465,7 @@ fn mine_pipeline(
     };
     let rg_workers = if intra { threads } else { 1 };
     // A global `max_candidates` budget must be spent in branch order, which
-    // serializes the DFS; see `mine_biclusters_workers`.
+    // serializes the DFS; see `mine_biclusters_ctrl`.
     let bc_workers = if intra && params.max_candidates.is_none() {
         threads
     } else {
@@ -689,14 +656,7 @@ fn mine_pipeline(
     timings.prune = prune_start.elapsed();
     sink.span(names::SPAN_PRUNE, timings.prune);
 
-    // Deterministic output order: by genes, then samples, then times.
-    triclusters.sort_by(|a, b| {
-        a.genes
-            .to_vec()
-            .cmp(&b.genes.to_vec())
-            .then_with(|| a.samples.cmp(&b.samples))
-            .then_with(|| a.times.cmp(&b.times))
-    });
+    sort_triclusters(&mut triclusters);
 
     // Logical memory accounting: sizes derived from the data structures
     // themselves, so these counters stay deterministic across thread counts.
@@ -774,27 +734,22 @@ fn mine_pipeline(
     }
 }
 
-/// Like [`mine`], but first permutes the matrix so the largest dimension is
-/// mined as genes (the paper always transposes this way, exploiting the
-/// symmetry Lemma 1), then maps the mined clusters back to the original
-/// coordinates.
-pub fn mine_auto(m: &Matrix3, params: &Params) -> Result<MiningResult, MineError> {
-    mine_auto_observed(m, params, &NullSink)
-}
-
-/// Like [`mine_auto`], routing instrumentation through `sink`
-/// (see [`mine_observed`]).
-pub fn mine_auto_observed(
+/// Like [`mine`] with instrumentation routed through `sink`, but first
+/// permutes the matrix so the largest dimension is mined as genes (the
+/// paper always transposes this way, exploiting the symmetry Lemma 1), then
+/// maps the mined clusters back to the original coordinates. The run goes
+/// through a [`Session`], like every other run.
+pub fn mine_auto(
     m: &Matrix3,
     params: &Params,
     sink: &dyn EventSink,
 ) -> Result<MiningResult, MineError> {
+    let session = Session::new(params.clone());
     let order = m.canonical_permutation();
     if order == [Axis::Gene, Axis::Sample, Axis::Time] {
-        return mine_observed(m, params, sink);
+        return session.run(m, sink);
     }
-    let permuted = m.permuted(order);
-    let mut result = mine_observed(&permuted, params, sink)?;
+    let mut result = session.run(&m.permuted(order), sink)?;
     let n = [m.n_genes(), m.n_samples(), m.n_times()];
     result.triclusters = result
         .triclusters
@@ -805,14 +760,19 @@ pub fn mine_auto_observed(
     // clear them rather than report misleading indices.
     result.per_time_biclusters = Vec::new();
     result.ranges_per_time = Vec::new();
-    result.triclusters.sort_by(|a, b| {
+    sort_triclusters(&mut result.triclusters);
+    Ok(result)
+}
+
+/// Deterministic output order: by genes, then samples, then times.
+fn sort_triclusters(cs: &mut [Tricluster]) {
+    cs.sort_by(|a, b| {
         a.genes
             .to_vec()
             .cmp(&b.genes.to_vec())
             .then_with(|| a.samples.cmp(&b.samples))
             .then_with(|| a.times.cmp(&b.times))
     });
-    Ok(result)
 }
 
 /// Maps a cluster mined in permuted coordinates back to the original axes.
@@ -901,21 +861,21 @@ mod tests {
     }
 
     #[test]
-    fn miner_facade_equivalent_to_mine() {
+    fn session_facade_equivalent_to_mine() {
         let m = paper_table1();
-        let miner = Miner::new(params());
+        let session = Session::new(params());
         assert_eq!(
-            view(&miner.mine(&m).unwrap().triclusters),
+            view(&session.run(&m, &NullSink).unwrap().triclusters),
             view(&mine(&m, &params()).unwrap().triclusters)
         );
-        assert_eq!(miner.params().min_genes, 3);
+        assert_eq!(session.params().min_genes, 3);
     }
 
     #[test]
     fn mine_auto_matches_mine_on_canonical_input() {
         let m = paper_table1(); // 10 x 7 x 2 is already canonical
         assert_eq!(
-            view(&mine_auto(&m, &params()).unwrap().triclusters),
+            view(&mine_auto(&m, &params(), &NullSink).unwrap().triclusters),
             view(&mine(&m, &params()).unwrap().triclusters)
         );
     }
@@ -928,7 +888,7 @@ mod tests {
         assert_eq!(twisted.dims(), (2, 7, 10));
         // Mine with thresholds transposed accordingly: mined genes = orig
         // genes again after canonical permutation (largest dim = 10).
-        let result = mine_auto(&twisted, &params()).unwrap();
+        let result = mine_auto(&twisted, &params(), &NullSink).unwrap();
         // Clusters come back in *twisted* coordinates: genes axis of
         // `twisted` is original times, times axis is original genes.
         let mut got: Vec<_> = result
@@ -1081,8 +1041,12 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let serial = mine_observed(&m, &mk(1), &tricluster_obs::Recorder::new()).unwrap();
-        let parallel = mine_observed(&m, &mk(4), &tricluster_obs::Recorder::new()).unwrap();
+        let serial = Session::new(mk(1))
+            .run(&m, &tricluster_obs::Recorder::new())
+            .unwrap();
+        let parallel = Session::new(mk(4))
+            .run(&m, &tricluster_obs::Recorder::new())
+            .unwrap();
         assert!(
             !serial.report.histograms.is_empty(),
             "recording sink must trigger histogram collection"
@@ -1137,12 +1101,9 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let baseline = mine_observed(
-            &m,
-            &mk(FanoutMode::Slice, 1),
-            &tricluster_obs::Recorder::new(),
-        )
-        .unwrap();
+        let baseline = Session::new(mk(FanoutMode::Slice, 1))
+            .run(&m, &tricluster_obs::Recorder::new())
+            .unwrap();
         assert_eq!(baseline.fanout.range_graph, FanoutLevel::Slice);
         assert_eq!(baseline.fanout.bicluster, FanoutLevel::Slice);
         for (mode, threads) in [
@@ -1152,8 +1113,9 @@ mod tests {
             (FanoutMode::Auto, 8), // 8 > 2 slices -> intra
             (FanoutMode::Slice, 8),
         ] {
-            let r =
-                mine_observed(&m, &mk(mode, threads), &tricluster_obs::Recorder::new()).unwrap();
+            let r = Session::new(mk(mode, threads))
+                .run(&m, &tricluster_obs::Recorder::new())
+                .unwrap();
             assert_eq!(
                 view(&r.triclusters),
                 view(&baseline.triclusters),
@@ -1221,7 +1183,7 @@ mod tests {
     fn observed_report_matches_external_recorder() {
         let m = paper_table1();
         let rec = tricluster_obs::Recorder::new();
-        let result = mine_observed(&m, &params(), &rec).unwrap();
+        let result = Session::new(params()).run(&m, &rec).unwrap();
         let external = rec.snapshot();
         assert_eq!(result.report.counter_map(), external.counter_map());
         let quiet = mine(&m, &params()).unwrap();
@@ -1233,7 +1195,7 @@ mod tests {
         let m = paper_table1();
         let twisted = m.permuted([Axis::Time, Axis::Sample, Axis::Gene]);
         let rec = tricluster_obs::Recorder::new();
-        let result = mine_auto_observed(&twisted, &params(), &rec).unwrap();
+        let result = mine_auto(&twisted, &params(), &rec).unwrap();
         assert!(!result.triclusters.is_empty());
         assert!(result.report.counter(tricluster_obs::names::TC_RECORDED) > 0);
         assert_eq!(

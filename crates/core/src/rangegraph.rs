@@ -17,7 +17,7 @@ use crate::range::{find_ranges_into, RangeKind, RangeScratch, RatioRange, SignGr
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tricluster_graph::MultiGraph;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{emit, names, timeline, Event, EventSink, Histogram, NullSink};
+use tricluster_obs::{emit, names, timeline, Event, EventSink, NullSink};
 
 /// The range multigraph of one time slice.
 #[derive(Debug, Clone)]
@@ -47,72 +47,35 @@ impl RangeGraph {
     }
 }
 
-/// Value distributions of one range-graph build, collected only when the
-/// sink asks for histograms ([`EventSink::wants_histograms`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RangeGraphHists {
-    /// Range width `(hi − lo) / lo` in parts per million, per edge.
-    pub range_width_ppm: Histogram,
-    /// Gene-set size per retained edge.
-    pub edge_geneset_size: Histogram,
-}
-
-/// Per-slice statistics of one [`build_range_graph_observed`] call.
-///
-/// Purely input-determined (no timing), so values are identical run to run
-/// and independent of how slices are scheduled across threads.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RangeGraphStats {
-    /// Column pairs examined (`n_samples · (n_samples − 1) / 2`).
-    pub pairs: u64,
-    /// Gene ratios classified into a sign group.
-    pub ratios: u64,
-    /// Edges added to the multigraph (all kinds).
-    pub edges: u64,
-    /// Edges whose range kind is [`RangeKind::Valid`].
-    pub ranges_valid: u64,
-    /// Edges whose range kind is [`RangeKind::Extended`].
-    pub ranges_extended: u64,
-    /// Edges whose range kind is [`RangeKind::Split`].
-    pub ranges_split: u64,
-    /// Edges whose range kind is [`RangeKind::Patched`].
-    pub ranges_patched: u64,
-    /// Value distributions; `None` unless the sink wants histograms, so
-    /// the default path never pays for bucket arithmetic.
-    pub hists: Option<Box<RangeGraphHists>>,
-}
-
-impl RangeGraphStats {
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: &RangeGraphStats) {
-        self.pairs += other.pairs;
-        self.ratios += other.ratios;
-        self.edges += other.edges;
-        self.ranges_valid += other.ranges_valid;
-        self.ranges_extended += other.ranges_extended;
-        self.ranges_split += other.ranges_split;
-        self.ranges_patched += other.ranges_patched;
-        if let Some(o) = &other.hists {
-            let h = self.hists.get_or_insert_with(Box::default);
-            h.range_width_ppm.merge(&o.range_width_ppm);
-            h.edge_geneset_size.merge(&o.edge_geneset_size);
-        }
+phase_stats! {
+    /// Per-slice statistics of one range-graph build.
+    ///
+    /// Purely input-determined (no timing), so values are identical run to
+    /// run and independent of how slices are scheduled across threads.
+    pub struct RangeGraphStats {
+        /// Column pairs examined (`n_samples · (n_samples − 1) / 2`).
+        pairs => names::RG_PAIRS,
+        /// Gene ratios classified into a sign group.
+        ratios => names::RG_RATIOS,
+        /// Edges added to the multigraph (all kinds).
+        edges => names::RG_EDGES,
+        /// Edges whose range kind is [`RangeKind::Valid`].
+        ranges_valid => names::RG_RANGES_VALID,
+        /// Edges whose range kind is [`RangeKind::Extended`].
+        ranges_extended => names::RG_RANGES_EXTENDED,
+        /// Edges whose range kind is [`RangeKind::Split`].
+        ranges_split => names::RG_RANGES_SPLIT,
+        /// Edges whose range kind is [`RangeKind::Patched`].
+        ranges_patched => names::RG_RANGES_PATCHED,
     }
 
-    /// Mirrors the stats into counter increments (and histograms, when
-    /// collected) on `sink`.
-    pub fn publish(&self, sink: &dyn EventSink) {
-        sink.counter(names::RG_PAIRS, self.pairs);
-        sink.counter(names::RG_RATIOS, self.ratios);
-        sink.counter(names::RG_EDGES, self.edges);
-        sink.counter(names::RG_RANGES_VALID, self.ranges_valid);
-        sink.counter(names::RG_RANGES_EXTENDED, self.ranges_extended);
-        sink.counter(names::RG_RANGES_SPLIT, self.ranges_split);
-        sink.counter(names::RG_RANGES_PATCHED, self.ranges_patched);
-        if let Some(h) = &self.hists {
-            sink.histogram(names::H_RG_RANGE_WIDTH_PPM, &h.range_width_ppm);
-            sink.histogram(names::H_RG_EDGE_GENESET, &h.edge_geneset_size);
-        }
+    /// Value distributions of one range-graph build, collected only when
+    /// the sink asks for histograms ([`EventSink::wants_histograms`]).
+    pub struct RangeGraphHists {
+        /// Range width `(hi − lo) / lo` in parts per million, per edge.
+        range_width_ppm => names::H_RG_RANGE_WIDTH_PPM,
+        /// Gene-set size per retained edge.
+        edge_geneset_size => names::H_RG_EDGE_GENESET,
     }
 }
 
@@ -123,19 +86,22 @@ impl RangeGraphStats {
 /// group's maximal valid ranges (plus extended/split/patched ranges,
 /// depending on [`Params::range_extension`]) become parallel edges.
 pub fn build_range_graph(m: &Matrix3, t: usize, params: &Params) -> RangeGraph {
-    build_range_graph_observed(m, t, params, &NullSink).0
+    build_range_graph_ctrl(m, t, params, &NullSink, 1, &RunCtrl::unbounded()).0
 }
 
-/// Like [`build_range_graph`], but also returns per-slice statistics and
-/// routes trace events ("rangegraph.pair", one per edge-carrying column
-/// pair) through `sink`.
-pub fn build_range_graph_observed(
+/// Like [`build_range_graph`], on up to `workers` threads, also returning
+/// per-slice statistics and routing trace events through `sink`.
+///
+/// Kept as its own entry because the served-job benchmark's per-layer
+/// replay calls it with this signature.
+pub fn build_range_graph_workers(
     m: &Matrix3,
     t: usize,
     params: &Params,
     sink: &dyn EventSink,
+    workers: usize,
 ) -> (RangeGraph, RangeGraphStats) {
-    build_range_graph_workers(m, t, params, sink, 1)
+    build_range_graph_ctrl(m, t, params, sink, workers, &RunCtrl::unbounded())
 }
 
 /// Column-major copy of one time slice: [`SliceColumns::col`]`(c)[g]` is
@@ -314,27 +280,20 @@ fn absorb_pair(
     }
 }
 
-/// Like [`build_range_graph_observed`], but distributes the column-pair
-/// sweep over up to `workers` threads.
+/// Builds the range multigraph of slice `t` under the run control of
+/// `ctrl`, distributing the column-pair sweep over up to `workers`
+/// threads. This is the one implementation every other entry calls. It
+/// also returns per-slice statistics and routes trace events
+/// ("rangegraph.pair", one per edge-carrying column pair) through `sink`.
 ///
 /// Work items are single `(a, b)` pairs claimed from an atomic cursor; each
 /// worker owns a [`PairScratch`] so the hot path does no per-pair
 /// allocation. Computed ranges are merged on the calling thread in canonical
 /// pair order (see [`absorb_pair`]), so the output is byte-identical for
 /// every `workers` value.
-pub fn build_range_graph_workers(
-    m: &Matrix3,
-    t: usize,
-    params: &Params,
-    sink: &dyn EventSink,
-    workers: usize,
-) -> (RangeGraph, RangeGraphStats) {
-    build_range_graph_ctrl(m, t, params, sink, workers, &RunCtrl::unbounded())
-}
-
-/// Like [`build_range_graph_workers`], under the run control of `ctrl`: the
-/// deadline is polled before each pair, and — when `ctrl` collects faults —
-/// a panic while computing one pair downgrades to a
+///
+/// The deadline is polled before each pair, and — when `ctrl` collects
+/// faults — a panic while computing one pair downgrades to a
 /// [`WorkerFailure`](crate::WorkerFailure) that costs only that pair's
 /// edges. Skipped and failed pairs contribute nothing, which can only
 /// remove edges: every bicluster mined from the partial graph is still a
@@ -513,7 +472,7 @@ mod tests {
     fn observed_stats_match_graph() {
         let m = paper_table1();
         let p = default_params(0.01, 3);
-        let (rg, stats) = build_range_graph_observed(&m, 0, &p, &NullSink);
+        let (rg, stats) = build_range_graph_workers(&m, 0, &p, &NullSink, 1);
         assert_eq!(stats.edges as usize, rg.n_ranges());
         assert_eq!(stats.pairs, 7 * 6 / 2);
         assert!(stats.ratios > 0);
@@ -522,7 +481,7 @@ mod tests {
             stats.ranges_valid + stats.ranges_extended + stats.ranges_split + stats.ranges_patched
         );
         // stats are input-determined: a second run is identical
-        let (_, again) = build_range_graph_observed(&m, 0, &p, &NullSink);
+        let (_, again) = build_range_graph_workers(&m, 0, &p, &NullSink, 1);
         assert_eq!(stats, again);
     }
 
@@ -531,7 +490,7 @@ mod tests {
         let m = paper_table1();
         let p = default_params(0.01, 3);
         let rec = tricluster_obs::Recorder::new();
-        let (rg, stats) = build_range_graph_observed(&m, 0, &p, &rec);
+        let (rg, stats) = build_range_graph_workers(&m, 0, &p, &rec, 1);
         let events = rec.take_events();
         assert!(!events.is_empty());
         assert!(events.iter().all(|e| e.name == "rangegraph.pair"));
@@ -551,11 +510,11 @@ mod tests {
         let m = paper_table1();
         let p = default_params(0.01, 3);
         // NullSink: no histogram allocation at all
-        let (_, quiet) = build_range_graph_observed(&m, 0, &p, &NullSink);
+        let (_, quiet) = build_range_graph_workers(&m, 0, &p, &NullSink, 1);
         assert!(quiet.hists.is_none());
         // Recorder wants histograms: one sample per edge
         let rec = tricluster_obs::Recorder::new();
-        let (rg, stats) = build_range_graph_observed(&m, 0, &p, &rec);
+        let (rg, stats) = build_range_graph_workers(&m, 0, &p, &rec, 1);
         let h = stats.hists.as_ref().expect("collected");
         assert_eq!(h.edge_geneset_size.count() as usize, rg.n_ranges());
         assert_eq!(h.range_width_ppm.count() as usize, rg.n_ranges());
@@ -572,7 +531,7 @@ mod tests {
         );
         // deterministic: a second collection is identical
         let rec2 = tricluster_obs::Recorder::new();
-        let (_, again) = build_range_graph_observed(&m, 0, &p, &rec2);
+        let (_, again) = build_range_graph_workers(&m, 0, &p, &rec2, 1);
         assert_eq!(stats, again);
     }
 

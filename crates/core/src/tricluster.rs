@@ -18,70 +18,45 @@ use crate::params::Params;
 use std::collections::HashSet;
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{names, EventSink, Histogram};
+use tricluster_obs::names;
 
-/// Value distributions of one tricluster search, collected only on request
-/// (see [`mine_triclusters_profiled`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TriclusterHists {
-    /// DFS depth (current time-set size) at each expanded node.
-    pub depth: Histogram,
-    /// Remaining candidate time count at each expanded node.
-    pub candidate_set_size: Histogram,
-    /// Children actually recursed into from each expanded node.
-    pub fanout: Histogram,
-}
+phase_stats! {
+    /// Statistics of one tricluster search. Input-determined: identical
+    /// across runs and thread counts.
+    pub struct TriclusterStats {
+        /// DFS nodes (candidate time sets) visited.
+        nodes => names::TC_NODES,
+        /// Candidate-visit budget consumed (0 when [`Params::max_candidates`]
+        /// is unset).
+        budget_spent => names::TC_BUDGET_SPENT,
+        /// Bicluster-intersection extensions attempted.
+        extensions => names::TC_EXTENSIONS,
+        /// Extensions rejected because the intersection fell below `mx`/`my`.
+        rejected_small => names::TC_REJECTED_SMALL,
+        /// Slice-pair temporal-coherence checks performed.
+        coherence_checks => names::TC_COHERENCE_CHECKS,
+        /// Extensions rejected by temporal coherence.
+        rejected_incoherent => names::TC_REJECTED_INCOHERENT,
+        /// Extensions dropped because an identical `(genes, samples)`
+        /// outcome was already expanded at the same node.
+        dedup_hits => names::TC_DEDUP_HITS,
+        /// Candidates recorded into the (tentative) result set.
+        recorded => names::TC_RECORDED,
+        /// Candidates rejected because an existing cluster subsumes them.
+        rejected_subsumed => names::TC_REJECTED_SUBSUMED,
+        /// Previously recorded clusters displaced by a larger candidate.
+        replaced => names::TC_REPLACED,
+    }
 
-/// Statistics of one tricluster search. Input-determined: identical across
-/// runs and thread counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TriclusterStats {
-    /// DFS nodes (candidate time sets) visited.
-    pub nodes: u64,
-    /// Candidate-visit budget consumed (0 when [`Params::max_candidates`]
-    /// is unset).
-    pub budget_spent: u64,
-    /// Bicluster-intersection extensions attempted.
-    pub extensions: u64,
-    /// Extensions rejected because the intersection fell below `mx`/`my`.
-    pub rejected_small: u64,
-    /// Slice-pair temporal-coherence checks performed.
-    pub coherence_checks: u64,
-    /// Extensions rejected by temporal coherence.
-    pub rejected_incoherent: u64,
-    /// Extensions dropped because an identical `(genes, samples)` outcome
-    /// was already expanded at the same node.
-    pub dedup_hits: u64,
-    /// Candidates recorded into the (tentative) result set.
-    pub recorded: u64,
-    /// Candidates rejected because an existing cluster subsumes them.
-    pub rejected_subsumed: u64,
-    /// Previously recorded clusters displaced by a larger candidate.
-    pub replaced: u64,
-    /// Value distributions; `None` unless requested, so the default path
-    /// never pays for bucket arithmetic.
-    pub hists: Option<Box<TriclusterHists>>,
-}
-
-impl TriclusterStats {
-    /// Mirrors the stats into counter increments (and histograms, when
-    /// collected) on `sink`.
-    pub fn publish(&self, sink: &dyn EventSink) {
-        sink.counter(names::TC_NODES, self.nodes);
-        sink.counter(names::TC_BUDGET_SPENT, self.budget_spent);
-        sink.counter(names::TC_EXTENSIONS, self.extensions);
-        sink.counter(names::TC_REJECTED_SMALL, self.rejected_small);
-        sink.counter(names::TC_COHERENCE_CHECKS, self.coherence_checks);
-        sink.counter(names::TC_REJECTED_INCOHERENT, self.rejected_incoherent);
-        sink.counter(names::TC_DEDUP_HITS, self.dedup_hits);
-        sink.counter(names::TC_RECORDED, self.recorded);
-        sink.counter(names::TC_REJECTED_SUBSUMED, self.rejected_subsumed);
-        sink.counter(names::TC_REPLACED, self.replaced);
-        if let Some(h) = &self.hists {
-            sink.histogram(names::H_TC_DEPTH, &h.depth);
-            sink.histogram(names::H_TC_CANDIDATES, &h.candidate_set_size);
-            sink.histogram(names::H_TC_FANOUT, &h.fanout);
-        }
+    /// Value distributions of one tricluster search, collected only on
+    /// request (see [`mine_triclusters_ctrl`]).
+    pub struct TriclusterHists {
+        /// DFS depth (current time-set size) at each expanded node.
+        depth => names::H_TC_DEPTH,
+        /// Remaining candidate time count at each expanded node.
+        candidate_set_size => names::H_TC_CANDIDATES,
+        /// Children actually recursed into from each expanded node.
+        fanout => names::H_TC_FANOUT,
     }
 }
 
@@ -92,32 +67,15 @@ pub fn mine_triclusters(
     per_time: &[Vec<Bicluster>],
     params: &Params,
 ) -> Vec<Tricluster> {
-    mine_triclusters_with_budget(m, per_time, params).0
+    mine_triclusters_ctrl(m, per_time, params, false, &RunCtrl::unbounded()).0
 }
 
-/// Like [`mine_triclusters`], but also reports whether the search was cut
-/// short by [`Params::max_candidates`].
-pub fn mine_triclusters_with_budget(
-    m: &Matrix3,
-    per_time: &[Vec<Bicluster>],
-    params: &Params,
-) -> (Vec<Tricluster>, bool) {
-    let (cs, truncated, _) = mine_triclusters_observed(m, per_time, params);
-    (cs, truncated)
-}
-
-/// Like [`mine_triclusters_with_budget`], but also returns search
-/// statistics for the observability layer.
-pub fn mine_triclusters_observed(
-    m: &Matrix3,
-    per_time: &[Vec<Bicluster>],
-    params: &Params,
-) -> (Vec<Tricluster>, bool, TriclusterStats) {
-    mine_triclusters_profiled(m, per_time, params, false)
-}
-
-/// Like [`mine_triclusters_observed`], optionally collecting DFS shape
-/// histograms (depth, candidate-set size, fan-out) into the returned stats.
+/// Like [`mine_triclusters`], also returning whether the search was
+/// truncated and its statistics, optionally with DFS shape histograms.
+/// Unbounded apart from [`Params::max_candidates`].
+///
+/// Kept as its own entry because the served-job benchmark's per-layer
+/// replay calls it with this signature.
 pub fn mine_triclusters_profiled(
     m: &Matrix3,
     per_time: &[Vec<Bicluster>],
@@ -127,9 +85,12 @@ pub fn mine_triclusters_profiled(
     mine_triclusters_ctrl(m, per_time, params, collect_hists, &RunCtrl::unbounded())
 }
 
-/// Like [`mine_triclusters_profiled`], under the run control of `ctrl`: the
-/// deadline is polled at every DFS node, truncating the search exactly like
-/// an exhausted candidate budget.
+/// Mines the maximal triclusters under the run control of `ctrl`. This is
+/// the one implementation every other entry calls. Returns the clusters,
+/// whether the search was truncated (by [`Params::max_candidates`] or the
+/// deadline, which is polled at every DFS node), and the search
+/// statistics; `collect_hists` adds DFS shape histograms (depth,
+/// candidate-set size, fan-out).
 pub fn mine_triclusters_ctrl(
     m: &Matrix3,
     per_time: &[Vec<Bicluster>],
@@ -519,14 +480,14 @@ mod tests {
                 mine_biclusters(&m, &rg, &p)
             })
             .collect();
-        let (cs, truncated, stats) = mine_triclusters_observed(&m, &per_time, &p);
+        let (cs, truncated, stats) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert!(!truncated);
         assert_eq!(cs.len(), 3);
         assert!(stats.nodes > 0);
         assert!(stats.extensions > 0);
         assert!(stats.coherence_checks > 0);
         assert_eq!(stats.recorded - stats.replaced, cs.len() as u64);
-        let (_, _, again) = mine_triclusters_observed(&m, &per_time, &p);
+        let (_, _, again) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert_eq!(stats, again);
     }
 
@@ -547,7 +508,7 @@ mod tests {
         assert_eq!(h.fanout.sum(), u128::from(stats.nodes - 1));
         assert_eq!(h.candidate_set_size.max(), m.n_times() as u64);
         // collection changes neither the clusters nor the scalar stats
-        let (plain_cs, _, plain) = mine_triclusters_observed(&m, &per_time, &p);
+        let (plain_cs, _, plain) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert_eq!(cs, plain_cs);
         assert_eq!(plain.nodes, stats.nodes);
         assert!(plain.hists.is_none());
@@ -573,7 +534,7 @@ mod tests {
                 mine_biclusters(&m, &rg, &p)
             })
             .collect();
-        let (_, _, stats) = mine_triclusters_observed(&m, &per_time, &p);
+        let (_, _, stats) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert!(stats.rejected_incoherent > 0);
     }
 

@@ -117,10 +117,16 @@ impl Json {
 
     /// Parses a JSON document. Strict: exactly one value, standard JSON
     /// syntax, no trailing garbage. Integers that fit land in `U64`/`I64`;
-    /// everything else numeric becomes `F64`.
+    /// everything else numeric becomes `F64`. Arrays and objects nested
+    /// deeper than [`MAX_DEPTH`] are an error, so a hostile document cannot
+    /// exhaust the parsing thread's stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -208,9 +214,15 @@ fn write_seq(
     out.push(close);
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -253,8 +265,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -506,6 +532,20 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past any thread's stack under unbounded recursion.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+        // Depth is nesting, not length: long flat documents still parse.
+        let flat = format!("[{}0]", "[],".repeat(10_000));
+        assert_eq!(Json::parse(&flat).unwrap().as_arr().unwrap().len(), 10_001);
     }
 
     #[test]

@@ -284,8 +284,38 @@ impl IndexEntry {
     }
 }
 
+/// What [`Ledger::scan`] read from the index.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct IndexScan {
+    /// Every entry, oldest first.
+    pub entries: Vec<IndexEntry>,
+    /// An unparsable final line that lacks its trailing newline: an append
+    /// cut short by a crash. It is skipped here, and the next
+    /// [`Ledger::archive`] drops it before appending.
+    pub torn_tail: Option<String>,
+}
+
+/// Splits index text into its newline-terminated lines and the
+/// unterminated fragment after the last newline (empty when none).
+fn split_tail(text: &str) -> (&str, &str) {
+    text.split_at(text.rfind('\n').map_or(0, |i| i + 1))
+}
+
+fn parse_index_line(line: &str) -> Result<IndexEntry, String> {
+    IndexEntry::from_json(&Json::parse(line)?)
+}
+
+/// The sequence number of an index line's id (`{"id":"r0042-…` → 42),
+/// read without parsing the line: archiving scans every line.
+fn entry_seq(line: &str) -> Option<u64> {
+    const KEY: &str = "\"id\":\"r";
+    let rest = &line[line.find(KEY)? + KEY.len()..];
+    rest[..rest.find('-')?].parse().ok()
+}
+
 /// A run-ledger directory. Opening creates the layout if needed; archiving
-/// appends (existing entries are never rewritten).
+/// appends (existing entries are never rewritten; a torn final line is
+/// dropped).
 #[derive(Debug, Clone)]
 pub struct Ledger {
     dir: PathBuf,
@@ -330,10 +360,22 @@ impl Ledger {
     /// Archives one run: writes the entry directory, then appends the index
     /// line (in that order, so an index line always points at a complete
     /// entry). Returns the new entry's id, which is sequence-numbered for
-    /// human reference and suffixed with the report's content hash.
+    /// human reference (one past the highest existing number) and suffixed
+    /// with the report's content hash. The new line always starts on a
+    /// fresh line: a torn final line (see [`IndexScan::torn_tail`]) is
+    /// truncated away first.
     pub fn archive(&self, entry: &NewEntry<'_>) -> io::Result<String> {
         let report_text = entry.report.render_pretty() + "\n";
-        let seq = self.list().map(|e| e.len()).unwrap_or(0) + 1;
+        let text = self.read_index()?;
+        let (complete, tail) = split_tail(&text);
+        let tail_is_entry = parse_index_line(tail).is_ok();
+        let seq = complete
+            .lines()
+            .chain(tail_is_entry.then_some(tail))
+            .filter_map(entry_seq)
+            .max()
+            .unwrap_or(0)
+            + 1;
         let hash = fnv1a(report_text.as_bytes());
         let id = format!("r{seq:04}-{:08x}", hash as u32);
         let dir = self.entry_dir(&id);
@@ -384,27 +426,48 @@ impl Ledger {
             .create(true)
             .append(true)
             .open(self.index_path())?;
-        index.write_all((line.to_json().render() + "\n").as_bytes())?;
+        let mut text = line.to_json().render() + "\n";
+        if tail_is_entry {
+            text.insert(0, '\n');
+        } else if !tail.is_empty() {
+            index.set_len(complete.len() as u64)?;
+        }
+        index.write_all(text.as_bytes())?;
         Ok(id)
     }
 
-    /// Every index line, oldest first.
+    fn read_index(&self) -> io::Result<String> {
+        match fs::read_to_string(self.index_path()) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(String::new()),
+            read => read,
+        }
+    }
+
+    /// Every index line, oldest first, skipping a torn final line.
     pub fn list(&self) -> io::Result<Vec<IndexEntry>> {
-        let text = match fs::read_to_string(self.index_path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut out = Vec::new();
-        for (n, line) in text.lines().enumerate() {
+        Ok(self.scan()?.entries)
+    }
+
+    /// Every index line, oldest first, and the torn final line, if any.
+    /// Any other unparsable line is an error.
+    pub fn scan(&self) -> io::Result<IndexScan> {
+        let text = self.read_index()?;
+        let (complete, tail) = split_tail(&text);
+        let mut scan = IndexScan::default();
+        for (n, line) in complete.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let j = Json::parse(line)
+            let entry = parse_index_line(line)
                 .map_err(|e| io::Error::other(format!("index line {}: {e}", n + 1)))?;
-            out.push(IndexEntry::from_json(&j).map_err(io::Error::other)?);
+            scan.entries.push(entry);
         }
-        Ok(out)
+        match parse_index_line(tail) {
+            Ok(entry) => scan.entries.push(entry),
+            Err(_) if !tail.trim().is_empty() => scan.torn_tail = Some(tail.to_owned()),
+            Err(_) => {}
+        }
+        Ok(scan)
     }
 
     /// Resolves an entry by exact id or unique id prefix.
@@ -542,6 +605,68 @@ mod tests {
         assert_eq!(ledger.resolve("r0002").unwrap().id, b);
         assert!(ledger.resolve("r9").is_err());
         assert!(ledger.resolve("r0").is_err(), "ambiguous prefix");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash mid-append leaves a torn final index line. Listing skips
+    /// and reports it; the next archive drops it, starts a fresh line and
+    /// numbers past the highest surviving id.
+    #[test]
+    fn torn_index_tail_is_skipped_and_repaired() {
+        let dir = temp_dir("torn");
+        let ledger = Ledger::open(&dir).unwrap();
+        let doc = report(0.1, 0.01);
+        let mk = |doc| NewEntry {
+            kind: "mine",
+            label: None,
+            dataset_hash: String::new(),
+            params_hash: String::new(),
+            report: doc,
+            trace: None,
+            flame: None,
+        };
+        let a = ledger.archive(&mk(&doc)).unwrap();
+        let b = ledger.archive(&mk(&doc)).unwrap();
+        let index = ledger.dir().join("index.jsonl");
+        let intact = fs::read_to_string(&index).unwrap();
+        let torn = r#"{"id":"r0003-1234abcd","kind":"mi"#;
+        fs::write(&index, format!("{intact}{torn}")).unwrap();
+
+        let scan = ledger.scan().unwrap();
+        assert_eq!(scan.torn_tail.as_deref(), Some(torn));
+        let ids: Vec<_> = scan.entries.iter().map(|e| e.id.clone()).collect();
+        assert_eq!(ids, [a.clone(), b.clone()]);
+        assert_eq!(ledger.list().unwrap(), scan.entries);
+
+        let c = ledger.archive(&mk(&doc)).unwrap();
+        assert!(c.starts_with("r0003-"), "{c}");
+        let text = fs::read_to_string(&index).unwrap();
+        assert!(text.starts_with(&intact) && text.ends_with('\n'), "{text}");
+        assert!(
+            !text.contains("\"kind\":\"mi\n"),
+            "torn bytes survived: {text}"
+        );
+        let scan = ledger.scan().unwrap();
+        assert_eq!(scan.torn_tail, None);
+        let ids: Vec<_> = scan.entries.iter().map(|e| e.id.clone()).collect();
+        assert_eq!(ids, [a, b, c.clone()]);
+
+        // An intact final line that only lost its newline is kept: the
+        // next line starts fresh after it.
+        fs::write(&index, fs::read_to_string(&index).unwrap().trim_end()).unwrap();
+        assert_eq!(ledger.list().unwrap().len(), 3);
+        let d = ledger.archive(&mk(&doc)).unwrap();
+        assert!(d.starts_with("r0004-"), "{d}");
+        let ids: Vec<_> = ledger.list().unwrap().into_iter().map(|e| e.id).collect();
+        assert_eq!(ids[2..], [c, d]);
+
+        // Numbering follows the highest id, not the line count.
+        fs::write(
+            &index,
+            r#"{"id":"r0041-00000000","kind":"mine"}"#.to_owned() + "\n",
+        )
+        .unwrap();
+        assert!(ledger.archive(&mk(&doc)).unwrap().starts_with("r0042-"));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -19,6 +19,9 @@ run() {
 run cargo build --workspace
 if [[ $fast -eq 0 ]]; then
     run cargo build --workspace --release
+    # The served-job benchmark is a workspace of its own that calls core's
+    # phase entries directly; nothing else compiles it.
+    run cargo build --release --offline --manifest-path servebench/Cargo.toml
 fi
 run cargo test --quiet --workspace
 run cargo fmt --all --check

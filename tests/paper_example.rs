@@ -114,7 +114,11 @@ fn per_slice_biclusters_match_figure5() {
 fn symmetry_lemma_via_mine_auto() {
     let m = paper_table1();
     let baseline = view(&mine(&m, &paper_params()).unwrap().triclusters);
-    let auto = view(&mine_auto(&m, &paper_params()).unwrap().triclusters);
+    let auto = view(
+        &mine_auto(&m, &paper_params(), &obs::NullSink)
+            .unwrap()
+            .triclusters,
+    );
     assert_eq!(baseline, auto);
 }
 
