@@ -28,22 +28,20 @@
 //! assert!(a.is_subset(&b));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod iter;
+// The only unsafe code: the call into the POPCNT build of each kernel,
+// made after run-time CPU detection.
+#[allow(unsafe_code)]
+pub mod kernel;
 mod pool;
 
 pub use iter::Ones;
 pub use pool::BitSetPool;
 
 const BITS: usize = 64;
-
-/// Block width of the unrolled set-algebra kernels. Four independent `u64`
-/// lanes per iteration give the autovectorizer a fixed-shape inner loop
-/// (two 128-bit or one 256-bit op per AND/OR) while keeping the early-exit
-/// checks of the bounded kernels at chunk granularity.
-const LANES: usize = 4;
 
 /// A fixed-capacity set of `usize` indices backed by `u64` blocks.
 ///
@@ -208,7 +206,7 @@ impl BitSet {
     /// Number of elements in the set (population count).
     #[inline]
     pub fn count(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        kernel::count(&self.blocks)
     }
 
     /// `true` iff the set has no elements.
@@ -291,28 +289,7 @@ impl BitSet {
         self.nbits = a.nbits;
         self.blocks.clear();
         self.blocks.resize(a.blocks.len(), 0);
-        let mut acc = [0usize; LANES];
-        let mut dst = self.blocks.chunks_exact_mut(LANES);
-        let mut sa = a.blocks.chunks_exact(LANES);
-        let mut sb = b.blocks.chunks_exact(LANES);
-        for ((d, x), y) in (&mut dst).zip(&mut sa).zip(&mut sb) {
-            for l in 0..LANES {
-                let v = x[l] & y[l];
-                acc[l] += v.count_ones() as usize;
-                d[l] = v;
-            }
-        }
-        let tail = dst
-            .into_remainder()
-            .iter_mut()
-            .zip(sa.remainder())
-            .zip(sb.remainder());
-        for ((d, x), y) in tail {
-            let v = x & y;
-            acc[0] += v.count_ones() as usize;
-            *d = v;
-        }
-        acc.iter().sum()
+        kernel::intersect_into(&mut self.blocks, &a.blocks, &b.blocks)
     }
 
     /// Allocating intersection.
@@ -340,53 +317,20 @@ impl BitSet {
     #[inline]
     pub fn intersection_count(&self, other: &BitSet) -> usize {
         self.check_same_universe(other);
-        let mut acc = [0usize; LANES];
-        let mut ca = self.blocks.chunks_exact(LANES);
-        let mut cb = other.blocks.chunks_exact(LANES);
-        for (x, y) in (&mut ca).zip(&mut cb) {
-            for l in 0..LANES {
-                acc[l] += (x[l] & y[l]).count_ones() as usize;
-            }
-        }
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            acc[0] += (x & y).count_ones() as usize;
-        }
-        acc.iter().sum()
+        kernel::intersection_count(&self.blocks, &other.blocks)
     }
 
     /// Returns `true` as soon as `|self ∩ other| >= threshold`, scanning as
     /// few blocks as possible. This is the miner's admission test
     /// (`|G(R) ∩ C.X| ≥ mx`), which usually succeeds early or fails with a
     /// near-empty intersection; either way most blocks are skipped. The
-    /// early exit runs at [`LANES`]-chunk granularity: cheap enough to keep
-    /// the loop body vectorizable, fine enough that a hit in the first
-    /// blocks still skips the rest of the scan.
+    /// early exit runs at [`kernel::LANES`]-chunk granularity: cheap enough
+    /// to keep the loop body vectorizable, fine enough that a hit in the
+    /// first blocks still skips the rest of the scan.
     #[inline]
     pub fn intersection_count_at_least(&self, other: &BitSet, threshold: usize) -> bool {
         self.check_same_universe(other);
-        if threshold == 0 {
-            return true;
-        }
-        let mut seen = 0usize;
-        let mut ca = self.blocks.chunks_exact(LANES);
-        let mut cb = other.blocks.chunks_exact(LANES);
-        for (x, y) in (&mut ca).zip(&mut cb) {
-            let mut chunk = 0u32;
-            for l in 0..LANES {
-                chunk += (x[l] & y[l]).count_ones();
-            }
-            seen += chunk as usize;
-            if seen >= threshold {
-                return true;
-            }
-        }
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            seen += (x & y).count_ones() as usize;
-            if seen >= threshold {
-                return true;
-            }
-        }
-        false
+        kernel::intersection_count_at_least(&self.blocks, &other.blocks, threshold)
     }
 
     /// Like [`BitSet::intersection_count_at_least`], but with the caller

@@ -136,3 +136,120 @@ proptest! {
         prop_assert!(!s.contains(idx));
     }
 }
+
+// ------------------------------------------- dispatched vs portable kernels --
+
+use tricluster_bitset::kernel::{self, portable, LANES};
+
+/// Largest universe the kernel properties draw: 18 blocks, so every
+/// remainder of the [`LANES`]-block unrolling occurs.
+const MAX_UNIVERSE: usize = 1100;
+
+/// A set over `0..nbits` that is sparse (at most one element per block,
+/// the hinted test's membership path), moderate, or dense, with equal odds.
+fn set_in(nbits: usize) -> impl Strategy<Value = BTreeSet<usize>> {
+    (0usize..3).prop_flat_map(move |density| {
+        let cap = match density {
+            0 => nbits.div_ceil(64),
+            1 => nbits / 8,
+            _ => nbits,
+        };
+        proptest::collection::btree_set(0..nbits.max(1), 0..=cap.min(nbits))
+    })
+}
+
+/// A universe of 0–1100 bits and two sets over it.
+fn sized_pair() -> impl Strategy<Value = (usize, BTreeSet<usize>, BTreeSet<usize>)> {
+    (0usize..=MAX_UNIVERSE).prop_flat_map(|n| (Just(n), set_in(n), set_in(n)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn dispatched_kernels_match_portable((n, a, b) in sized_pair(), junk in 0u64..u64::MAX) {
+        let sa = BitSet::from_indices(n, a.iter().copied());
+        let sb = BitSet::from_indices(n, b.iter().copied());
+        let (xa, xb) = (sa.as_blocks(), sb.as_blocks());
+        prop_assert_eq!(kernel::count(xa), portable::count(xa));
+        prop_assert_eq!(kernel::count(xa), a.len());
+        let both = a.intersection(&b).count();
+        prop_assert_eq!(kernel::intersection_count(xa, xb), both);
+        prop_assert_eq!(portable::intersection_count(xa, xb), both);
+        // Both builds must fully overwrite a junk-filled destination.
+        let mut fast = vec![junk; xa.len()];
+        let mut slow = vec![!junk; xa.len()];
+        prop_assert_eq!(kernel::intersect_into(&mut fast, xa, xb), both);
+        prop_assert_eq!(portable::intersect_into(&mut slow, xa, xb), both);
+        prop_assert_eq!(&fast, &slow);
+        prop_assert_eq!(&fast[..], sa.intersection(&sb).as_blocks());
+        for t in 0..=both + 1 {
+            let want = both >= t;
+            prop_assert_eq!(kernel::intersection_count_at_least(xa, xb, t), want, "t={}", t);
+            prop_assert_eq!(portable::intersection_count_at_least(xa, xb, t), want, "t={}", t);
+        }
+    }
+
+    #[test]
+    fn hinted_test_matches_portable_count((n, a, b) in sized_pair()) {
+        let sa = BitSet::from_indices(n, a.iter().copied());
+        let sb = BitSet::from_indices(n, b.iter().copied());
+        let both = portable::intersection_count(sa.as_blocks(), sb.as_blocks());
+        for t in 0..=both + 1 {
+            prop_assert_eq!(
+                sa.intersection_count_at_least_hinted(&sb, t, a.len()),
+                both >= t,
+                "n={} |a|={} t={}", n, a.len(), t
+            );
+        }
+    }
+}
+
+/// Deterministic cover of both branches of the hinted test — the sparse
+/// membership path (`|self| ≤ blocks`) and the dense block scan — at
+/// universes around every block and [`LANES`] boundary.
+#[test]
+fn hinted_sparse_and_dense_branches_match_portable() {
+    let universes = [
+        0,
+        1,
+        63,
+        64,
+        65,
+        64 * LANES - 1,
+        64 * LANES,
+        64 * LANES + 1,
+        257,
+        1023,
+        1100,
+    ];
+    for n in universes {
+        let blocks = n.div_ceil(64);
+        let other = BitSet::from_indices(n, (0..n).filter(|i| i % 3 != 1));
+        let sparse = BitSet::from_indices(n, (0..n).step_by(64).take(blocks));
+        let dense = BitSet::from_indices(n, (0..n).filter(|i| i % 5 != 0));
+        assert!(
+            sparse.count() <= blocks,
+            "n={n}: sparse set takes the membership path"
+        );
+        assert!(
+            n < 64 || dense.count() > blocks,
+            "n={n}: dense set takes the block scan"
+        );
+        for s in [&sparse, &dense] {
+            let both = portable::intersection_count(s.as_blocks(), other.as_blocks());
+            for t in 0..=both + 1 {
+                assert_eq!(
+                    s.intersection_count_at_least_hinted(&other, t, s.count()),
+                    both >= t,
+                    "n={n} |self|={} t={t}",
+                    s.count()
+                );
+                assert_eq!(
+                    kernel::intersection_count_at_least(s.as_blocks(), other.as_blocks(), t),
+                    both >= t
+                );
+            }
+        }
+    }
+}

@@ -107,7 +107,6 @@ fn run_branch<'a>(
     params: &'a Params,
     collect_hists: bool,
     all_genes: &BitSet,
-    order: &[usize],
     branch: usize,
     budget: Option<u64>,
     ctrl: &'a RunCtrl,
@@ -123,14 +122,20 @@ fn run_branch<'a>(
         params,
         t: rg.time,
         results: MaximalStore::new(),
-        samples: vec![order[branch]],
+        samples: vec![branch],
         budget,
         truncated: false,
         stats,
         scratch: DfsScratch::default(),
         ctrl,
     };
-    miner.dfs(all_genes, &order[branch + 1..]);
+    // The seed's frontier: every later sample, with no edge lists yet.
+    miner.scratch.frontiers.push(Frontier {
+        samples: (branch + 1..m.n_samples()).collect(),
+        bounds: vec![0],
+        edges: Vec::new(),
+    });
+    miner.dfs(all_genes, 0);
     let spent = miner.stats.budget_spent;
     BranchOutput {
         branch,
@@ -208,7 +213,6 @@ pub fn mine_biclusters_ctrl(
     }
 
     let all_genes = BitSet::full(n_genes);
-    let order: Vec<usize> = (0..n_samples).collect();
     if let Some(p) = &ctrl.progress {
         p.add_branches_total(n_samples as u64);
     }
@@ -230,7 +234,6 @@ pub fn mine_biclusters_ctrl(
                         params,
                         collect_hists,
                         &all_genes,
-                        &order,
                         branch,
                         budget,
                         ctrl,
@@ -282,7 +285,6 @@ pub fn mine_biclusters_ctrl(
                                         params,
                                         collect_hists,
                                         &all_genes,
-                                        &order,
                                         i,
                                         None,
                                         ctrl,
@@ -336,20 +338,65 @@ pub fn mine_biclusters_ctrl(
     (store.into_vec(), truncated, stats)
 }
 
-/// Reusable per-branch buffers for the DFS hot path. Each use-site fills the
-/// slice it needs before reading, so sharing them across recursion levels is
-/// safe: by the time a child (or the next extension) reuses a buffer, the
-/// parent no longer needs its contents.
+/// Reusable per-branch buffers for the DFS hot path.
 #[derive(Default)]
 struct DfsScratch<'a> {
-    /// Qualified edges per current sample, rebuilt for each extension; only
-    /// the first `samples.len()` entries are live at any moment.
-    per_sample: Vec<Vec<&'a RatioRange>>,
+    /// One [`Frontier`] per DFS depth: entry `d` belongs to the node with
+    /// `d` samples currently on the path (entry 0 is the branch seed's list
+    /// of later samples). A child only writes the entry below its parent's,
+    /// so each parent's frontier stays intact while its children run.
+    frontiers: Vec<Frontier<'a>>,
     /// One intersection accumulator per combination depth, written in-place
     /// by [`BitSet::intersect_into`] — no per-extension clones.
     levels: Vec<BitSet>,
     /// Gene-sets already produced at the current (node, extension) step.
     seen: HashSet<BitSet>,
+}
+
+/// The extension candidates still alive at one DFS node, with their
+/// qualified edges.
+///
+/// For the node with samples `s_0 < … < s_{d-1}` and gene-set `X`, a live
+/// candidate is a later sample `s_b` for which every `s_k` has at least one
+/// edge `(s_k, s_b)` with `|X ∩ G(R)| ≥ mx`; its `d` lists hold exactly
+/// those edges, in ascending `k` and in graph order within a list. Gene-sets
+/// only shrink along a DFS path, so an edge that fails at a node fails at
+/// every descendant: a child filters these lists instead of rescanning the
+/// graph, and a candidate dead here stays dead below.
+#[derive(Default)]
+struct Frontier<'a> {
+    /// Live candidate samples, ascending.
+    samples: Vec<usize>,
+    /// List boundaries into `edges`: with `d` lists per candidate, the list
+    /// of candidate `c` for `s_k` is
+    /// `edges[bounds[c·d + k] .. bounds[c·d + k + 1]]`.
+    bounds: Vec<usize>,
+    /// Every candidate's lists, concatenated.
+    edges: Vec<&'a RatioRange>,
+}
+
+impl<'a> Frontier<'a> {
+    /// The `lists + 1` boundaries of candidate `c`'s lists.
+    fn lists_of(&self, c: usize, lists: usize) -> &[usize] {
+        &self.bounds[c * lists..=(c + 1) * lists]
+    }
+
+    /// Appends the edges of `list` that pass `keep` as the next list of the
+    /// candidate being built. Returns `false`, closing no list, when none
+    /// passes.
+    fn push_list(
+        &mut self,
+        list: impl Iterator<Item = &'a RatioRange>,
+        keep: impl Fn(&RatioRange) -> bool,
+    ) -> bool {
+        let start = self.edges.len();
+        self.edges.extend(list.filter(|r| keep(r)));
+        if self.edges.len() == start {
+            return false;
+        }
+        self.bounds.push(self.edges.len());
+        true
+    }
 }
 
 struct BranchMiner<'a> {
@@ -370,7 +417,10 @@ struct BranchMiner<'a> {
 }
 
 impl<'a> BranchMiner<'a> {
-    fn dfs(&mut self, genes: &BitSet, pending: &[usize]) {
+    /// Visits the node for the current `samples` with gene-set `genes`. Its
+    /// candidates are those of the parent's frontier from index `from` on
+    /// (the samples after the one just added).
+    fn dfs(&mut self, genes: &BitSet, from: usize) {
         if self.ctrl.token.deadline_exceeded() {
             self.truncated = true;
             return;
@@ -384,56 +434,33 @@ impl<'a> BranchMiner<'a> {
             self.stats.budget_spent += 1;
         }
         self.stats.nodes += 1;
+        let depth = self.samples.len();
         if let Some(h) = self.stats.hists.as_deref_mut() {
-            h.depth.record(self.samples.len() as u64);
-            h.candidate_set_size.record(pending.len() as u64);
+            // every later sample counts, live or not
+            let newest = self.samples[depth - 1];
+            h.depth.record(depth as u64);
+            h.candidate_set_size
+                .record((self.m.n_samples() - 1 - newest) as u64);
         }
         let mut children = 0u64;
         self.try_record(genes);
-        // population hint for the sparse-path qualification test below
-        let genes_count = genes.count();
-        for (i, &sb) in pending.iter().enumerate() {
-            let rest = &pending[i + 1..];
-            let depth = self.samples.len();
-            let scratch = &mut self.scratch;
-            while scratch.per_sample.len() < depth {
-                scratch.per_sample.push(Vec::new());
-            }
-            while scratch.levels.len() < depth {
-                scratch.levels.push(BitSet::new(0));
-            }
-            // Qualified edges from every existing sample to s_b; the
-            // count-early-exit prunes extensions before any gene-set is
-            // materialized.
-            let mut dead_end = false;
-            for (k, &sa) in self.samples.iter().enumerate() {
-                let edges = &mut scratch.per_sample[k];
-                edges.clear();
-                for r in self.rg.ranges_between(sa, sb) {
-                    if genes.intersection_count_at_least_hinted(
-                        &r.genes,
-                        self.params.min_genes,
-                        genes_count,
-                    ) {
-                        edges.push(r);
-                    }
-                }
-                if edges.is_empty() {
-                    dead_end = true;
-                    break;
-                }
-            }
-            if dead_end {
-                continue;
-            }
+        self.qualify(genes, from);
+        while self.scratch.levels.len() < depth {
+            self.scratch.levels.push(BitSet::new(0));
+        }
+        for c in 0..self.scratch.frontiers[depth].samples.len() {
             // Enumerate edge combinations (one edge per existing sample),
             // intersecting gene-sets in-place with mx pruning; recurse per
             // distinct resulting gene-set.
+            let scratch = &mut self.scratch;
+            let frontier = &scratch.frontiers[depth];
+            let sb = frontier.samples[c];
             scratch.seen.clear();
             let mut combos: Vec<BitSet> = Vec::new();
             intersect_combos(
                 genes,
-                &scratch.per_sample[..depth],
+                &frontier.edges,
+                frontier.lists_of(c, depth),
                 &mut scratch.levels[..depth],
                 self.params.min_genes,
                 &mut scratch.seen,
@@ -444,12 +471,52 @@ impl<'a> BranchMiner<'a> {
             for new_genes in combos {
                 children += 1;
                 self.samples.push(sb);
-                self.dfs(&new_genes, rest);
+                self.dfs(&new_genes, c + 1);
                 self.samples.pop();
             }
         }
         if let Some(h) = self.stats.hists.as_deref_mut() {
             h.fanout.record(children);
+        }
+    }
+
+    /// Fills this node's frontier (`frontiers[depth]`) from its parent's
+    /// candidates `from..`: each inherited list is filtered against `genes`,
+    /// and only the one new pair (newest sample, candidate) is scanned in
+    /// full. A candidate is dropped at its first empty list.
+    fn qualify(&mut self, genes: &BitSet, from: usize) {
+        let depth = self.samples.len();
+        let newest = self.samples[depth - 1];
+        let mx = self.params.min_genes;
+        // population hint for the sparse-path qualification test
+        let genes_count = genes.count();
+        let qualifies =
+            |r: &RatioRange| genes.intersection_count_at_least_hinted(&r.genes, mx, genes_count);
+        let frontiers = &mut self.scratch.frontiers;
+        if frontiers.len() == depth {
+            frontiers.push(Frontier::default());
+        }
+        let (above, below) = frontiers.split_at_mut(depth);
+        let (parent, own) = (&above[depth - 1], &mut below[0]);
+        own.samples.clear();
+        own.edges.clear();
+        own.bounds.clear();
+        own.bounds.push(0);
+        let rg = self.rg;
+        for c in from..parent.samples.len() {
+            let sb = parent.samples[c];
+            let (edges_mark, bounds_mark) = (own.edges.len(), own.bounds.len());
+            let live = parent
+                .lists_of(c, depth - 1)
+                .windows(2)
+                .all(|w| own.push_list(parent.edges[w[0]..w[1]].iter().copied(), qualifies))
+                && own.push_list(rg.ranges_between(newest, sb).iter(), qualifies);
+            if live {
+                own.samples.push(sb);
+            } else {
+                own.edges.truncate(edges_mark);
+                own.bounds.truncate(bounds_mark);
+            }
         }
     }
 
@@ -513,39 +580,40 @@ impl<'a> BranchMiner<'a> {
 
 /// Depth-first enumeration of one-edge-per-sample combinations, accumulating
 /// the gene-set intersection and pruning as soon as it drops below `mx`.
-/// `dedup_hits` counts combinations dropped because their gene-set was
-/// already produced by an earlier edge choice at the same node.
+/// The lists to combine are `edges[bounds[k] .. bounds[k + 1]]`, one per
+/// existing sample. `dedup_hits` counts combinations dropped because their
+/// gene-set was already produced by an earlier edge choice at the same node.
 ///
 /// The accumulator at each combination depth lives in `levels` (one slot per
 /// remaining sample), written in place by [`BitSet::intersect_into`] — the
 /// only allocations are the cloned gene-sets of *surviving* distinct combos.
+#[allow(clippy::too_many_arguments)]
 fn intersect_combos(
     acc: &BitSet,
-    per_sample: &[Vec<&RatioRange>],
+    edges: &[&RatioRange],
+    bounds: &[usize],
     levels: &mut [BitSet],
     mx: usize,
     seen: &mut HashSet<BitSet>,
     out: &mut Vec<BitSet>,
     dedup_hits: &mut u64,
 ) {
-    match per_sample.split_first() {
-        None => {
+    match (bounds, levels.split_first_mut()) {
+        ([start, end, ..], Some((level, rest_levels))) => {
+            for r in &edges[*start..*end] {
+                if level.intersect_into(acc, &r.genes) >= mx {
+                    let rest = &bounds[1..];
+                    intersect_combos(level, edges, rest, rest_levels, mx, seen, out, dedup_hits);
+                }
+            }
+        }
+        _ => {
             if seen.contains(acc) {
                 *dedup_hits += 1;
             } else {
                 let owned = acc.clone();
                 seen.insert(owned.clone());
                 out.push(owned);
-            }
-        }
-        Some((edges, rest)) => {
-            let (level, rest_levels) = levels
-                .split_first_mut()
-                .expect("one scratch level per remaining sample");
-            for r in edges {
-                if level.intersect_into(acc, &r.genes) >= mx {
-                    intersect_combos(level, rest, rest_levels, mx, seen, out, dedup_hits);
-                }
             }
         }
     }
@@ -683,6 +751,198 @@ impl MaximalStore {
     /// Consumes the store, yielding survivors in insertion order.
     pub fn into_vec(self) -> Vec<Bicluster> {
         self.slots.into_iter().flatten().collect()
+    }
+}
+
+/// The per-node-rescan DFS this module shipped before frontiers were
+/// inherited, kept verbatim as a differential oracle: every node rescans
+/// `ranges_between(s_a, s_b)` for every existing sample `s_a` and every
+/// later sample `s_b`. Sequential only; the frontier miner's worker counts
+/// are pinned against it by the proptest in `tests`.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// [`mine_biclusters_ctrl`] at one worker, unbounded control, over the
+    /// rescanning DFS.
+    pub(super) fn mine(
+        m: &Matrix3,
+        rg: &RangeGraph,
+        params: &Params,
+        collect_hists: bool,
+    ) -> (Vec<Bicluster>, bool, BiclusterStats) {
+        let ctrl = RunCtrl::unbounded();
+        let n_samples = m.n_samples();
+        let mut stats = BiclusterStats::default();
+        if collect_hists {
+            stats.hists = Some(Box::default());
+        }
+        let mut truncated = false;
+        let mut budget = params.max_candidates;
+        if let Some(b) = &mut budget {
+            if *b == 0 {
+                return (Vec::new(), true, stats);
+            }
+            *b -= 1;
+            stats.budget_spent += 1;
+        }
+        stats.nodes += 1;
+        if let Some(h) = stats.hists.as_deref_mut() {
+            h.depth.record(0);
+            h.candidate_set_size.record(n_samples as u64);
+        }
+        let all_genes = BitSet::full(m.n_genes());
+        let order: Vec<usize> = (0..n_samples).collect();
+        let mut outputs = Vec::new();
+        for branch in 0..n_samples {
+            let mut branch_stats = BiclusterStats::default();
+            if collect_hists {
+                branch_stats.hists = Some(Box::default());
+            }
+            let mut miner = BranchMiner {
+                m,
+                rg,
+                params,
+                t: rg.time,
+                results: MaximalStore::new(),
+                samples: vec![order[branch]],
+                budget,
+                truncated: false,
+                stats: branch_stats,
+                scratch: DfsScratch::default(),
+                ctrl: &ctrl,
+            };
+            miner.rescan_dfs(&all_genes, &order[branch + 1..], &mut Rescan::default());
+            if let Some(b) = &mut budget {
+                *b -= miner.stats.budget_spent;
+            }
+            outputs.push((miner.results, miner.truncated, miner.stats));
+        }
+        if let Some(h) = stats.hists.as_deref_mut() {
+            h.fanout.record(n_samples as u64);
+        }
+        let mut store = MaximalStore::new();
+        for (results, branch_truncated, branch_stats) in outputs {
+            truncated |= branch_truncated;
+            stats.absorb(&branch_stats);
+            for bc in results.into_vec() {
+                match store.insert(bc) {
+                    InsertOutcome::Subsumed => stats.merge_subsumed += 1,
+                    InsertOutcome::Inserted { displaced } => stats.replaced += displaced as u64,
+                }
+            }
+        }
+        (store.into_vec(), truncated, stats)
+    }
+
+    #[derive(Default)]
+    struct Rescan<'a> {
+        per_sample: Vec<Vec<&'a RatioRange>>,
+        levels: Vec<BitSet>,
+        seen: HashSet<BitSet>,
+    }
+
+    impl<'a> BranchMiner<'a> {
+        fn rescan_dfs(&mut self, genes: &BitSet, pending: &[usize], scratch: &mut Rescan<'a>) {
+            if let Some(b) = &mut self.budget {
+                if *b == 0 {
+                    self.truncated = true;
+                    return;
+                }
+                *b -= 1;
+                self.stats.budget_spent += 1;
+            }
+            self.stats.nodes += 1;
+            if let Some(h) = self.stats.hists.as_deref_mut() {
+                h.depth.record(self.samples.len() as u64);
+                h.candidate_set_size.record(pending.len() as u64);
+            }
+            let mut children = 0u64;
+            self.try_record(genes);
+            let genes_count = genes.count();
+            for (i, &sb) in pending.iter().enumerate() {
+                let rest = &pending[i + 1..];
+                let depth = self.samples.len();
+                while scratch.per_sample.len() < depth {
+                    scratch.per_sample.push(Vec::new());
+                }
+                while scratch.levels.len() < depth {
+                    scratch.levels.push(BitSet::new(0));
+                }
+                let mut dead_end = false;
+                for (k, &sa) in self.samples.iter().enumerate() {
+                    let edges = &mut scratch.per_sample[k];
+                    edges.clear();
+                    for r in self.rg.ranges_between(sa, sb) {
+                        if genes.intersection_count_at_least_hinted(
+                            &r.genes,
+                            self.params.min_genes,
+                            genes_count,
+                        ) {
+                            edges.push(r);
+                        }
+                    }
+                    if edges.is_empty() {
+                        dead_end = true;
+                        break;
+                    }
+                }
+                if dead_end {
+                    continue;
+                }
+                scratch.seen.clear();
+                let mut combos: Vec<BitSet> = Vec::new();
+                rescan_combos(
+                    genes,
+                    &scratch.per_sample[..depth],
+                    &mut scratch.levels[..depth],
+                    self.params.min_genes,
+                    &mut scratch.seen,
+                    &mut combos,
+                    &mut self.stats.dedup_hits,
+                );
+                self.stats.gene_combos += combos.len() as u64;
+                for new_genes in combos {
+                    children += 1;
+                    self.samples.push(sb);
+                    self.rescan_dfs(&new_genes, rest, scratch);
+                    self.samples.pop();
+                }
+            }
+            if let Some(h) = self.stats.hists.as_deref_mut() {
+                h.fanout.record(children);
+            }
+        }
+    }
+
+    fn rescan_combos(
+        acc: &BitSet,
+        per_sample: &[Vec<&RatioRange>],
+        levels: &mut [BitSet],
+        mx: usize,
+        seen: &mut HashSet<BitSet>,
+        out: &mut Vec<BitSet>,
+        dedup_hits: &mut u64,
+    ) {
+        match per_sample.split_first() {
+            None => {
+                if seen.contains(acc) {
+                    *dedup_hits += 1;
+                } else {
+                    let owned = acc.clone();
+                    seen.insert(owned.clone());
+                    out.push(owned);
+                }
+            }
+            Some((edges, rest)) => {
+                let (level, rest_levels) = levels.split_first_mut().expect("one level per sample");
+                for r in edges {
+                    if level.intersect_into(acc, &r.genes) >= mx {
+                        rescan_combos(level, rest, rest_levels, mx, seen, out, dedup_hits);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1001,6 +1261,72 @@ mod tests {
             insert_maximal_bicluster_counted(&mut v, mk(&[1, 2], &[0])),
             InsertOutcome::Subsumed
         );
+    }
+
+    // ------------------------------------- frontier vs rescan oracle --
+
+    use proptest::prelude::*;
+
+    /// A one-slice matrix of scaled prototype rows with a few noise cells:
+    /// genes sharing a prototype share every sample ratio, so the range
+    /// graph carries multi-gene edges and the DFS goes several levels deep.
+    /// Up to 100 genes, so gene-sets span one or two blocks.
+    fn prototype_matrix() -> impl Strategy<Value = Matrix3> {
+        (3usize..100, 2usize..8, 1usize..4)
+            .prop_flat_map(|(g, s, k)| {
+                (
+                    Just((g, s)),
+                    proptest::collection::vec(1u32..5, k * s),
+                    proptest::collection::vec((0usize..k, 1u32..4), g),
+                    proptest::collection::vec((0usize..g, 0usize..s, 1u32..9), 0..g),
+                )
+            })
+            .prop_map(|((g, s), protos, rows, noise)| {
+                let mut m = Matrix3::zeros(g, s, 1);
+                for (gene, &(proto, scale)) in rows.iter().enumerate() {
+                    for sample in 0..s {
+                        let v = protos[proto * s + sample] * scale;
+                        m.set(gene, sample, 0, f64::from(v));
+                    }
+                }
+                for (gene, sample, v) in noise {
+                    m.set(gene, sample, 0, f64::from(v));
+                }
+                m
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Inherited frontiers change no output: clusters (order included),
+        /// truncation and every statistic and histogram match the rescanning
+        /// oracle at 1, 2 and 4 workers, with and without a truncating
+        /// candidate budget.
+        #[test]
+        fn frontier_dfs_matches_rescan_oracle(
+            m in prototype_matrix(),
+            eps in 0.0f64..0.3,
+            mx in 1usize..5,
+            my in 2usize..4,
+            budget in (1u64..60, proptest::bool::ANY),
+        ) {
+            let mut builder = Params::builder()
+                .epsilon(eps)
+                .min_genes(mx)
+                .min_samples(my)
+                .min_times(1);
+            if budget.1 {
+                builder = builder.max_candidates(budget.0);
+            }
+            let p = builder.build().map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let rg = build_range_graph(&m, 0, &p);
+            let want = oracle::mine(&m, &rg, &p, true);
+            for workers in [1usize, 2, 4] {
+                let got = mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded());
+                prop_assert_eq!(&got, &want, "workers={}", workers);
+            }
+        }
     }
 
     /// A uniform matrix is one big bicluster covering everything.

@@ -24,6 +24,10 @@ if [[ $fast -eq 0 ]]; then
     run cargo build --release --offline --manifest-path servebench/Cargo.toml
 fi
 run cargo test --quiet --workspace
+# The bitset kernels dispatch at run time to a POPCNT build (the crate's
+# only unsafe code) and the miner's hot paths lean on release-mode integer
+# semantics; test both crates in the optimised build too, not only debug.
+run cargo test --release --quiet -p tricluster-bitset -p tricluster-core
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 
