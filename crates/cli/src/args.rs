@@ -160,6 +160,17 @@ impl Args {
     pub fn has(&self, switch: &str) -> bool {
         self.switches.iter().any(|s| s == switch)
     }
+
+    /// The given value flags as they were set, re-spelled `--name value...`
+    /// with the user's own value tokens, in `flags` order: a command line
+    /// fragment for another parser over the same flags.
+    pub fn forward(&self, flags: &[(&str, usize)]) -> Vec<String> {
+        flags
+            .iter()
+            .filter_map(|(name, _)| Some((name, self.flags.get(*name)?)))
+            .flat_map(|(name, values)| std::iter::once(format!("--{name}")).chain(values.clone()))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -265,6 +276,21 @@ mod tests {
         // distinct short switches still coexist
         let a = parse(&argv(&["-v", "-vv"]), &[], &["-v", "-vv"]).unwrap();
         assert!(a.has("-v") && a.has("-vv"));
+    }
+
+    #[test]
+    fn forward_respells_set_flags_with_their_own_tokens() {
+        let flags = [("eps", 1), ("merge", 2), ("mx", 1)];
+        let a = parse(
+            &argv(&["f.tsv", "--merge", "0.20", "1e-1", "--eps=0.010"]),
+            &flags,
+            &[],
+        )
+        .unwrap();
+        assert_eq!(
+            a.forward(&flags),
+            argv(&["--eps", "0.010", "--merge", "0.20", "1e-1"])
+        );
     }
 
     #[test]

@@ -14,11 +14,13 @@ use tricluster_core::obs::ledger::{
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::{Progress, ProgressSink, ProgressTicker};
 use tricluster_core::obs::timeline::Timeline;
-use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink, NullSink, Recorder};
+use tricluster_core::obs::{
+    names, EventSink, Fanout, JsonLinesSink, NullSink, Recorder, RunReport,
+};
 use tricluster_core::runreport;
 use tricluster_core::{
-    cluster_metrics_observed, mine_auto, mine_shifting, Engine, FanoutMode, MergeParams, MineError,
-    MiningResult, Params, TenantCaps,
+    cluster_metrics_observed, mine_auto, mine_shifting, Engine, FanoutMode, MergeParams, Metrics,
+    MineError, MiningResult, Params, TenantCaps,
 };
 use tricluster_matrix::{io, Labels, Matrix3};
 use tricluster_synth::{generate, SynthSpec};
@@ -209,6 +211,48 @@ pub(crate) fn parse_bytes(flag: &str, s: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("--{flag} expects BYTES with an optional K/M/G suffix, got {s:?}"))
 }
 
+/// The paper's parameters and the run budgets as flags, with their arity:
+/// exactly what [`mine_params_from`] reads. `mine`, `submit` and
+/// `POST /jobs` each parse these plus their own extras
+/// ([`parse_with_params`]).
+pub(crate) const PARAM_FLAGS: &[(&str, usize)] = &[
+    ("eps", 1),
+    ("eps-time", 1),
+    ("mx", 1),
+    ("my", 1),
+    ("mz", 1),
+    ("delta-x", 1),
+    ("delta-y", 1),
+    ("delta-z", 1),
+    ("merge", 2),
+    ("max-candidates", 1),
+    ("deadline", 1),
+    ("max-memory", 1),
+    ("threads", 1),
+    ("fanout", 1),
+];
+
+/// `mine`'s own flags and switches on top of [`PARAM_FLAGS`].
+const MINE_FLAGS: &[(&str, usize)] = &[
+    ("report-json", 1),
+    ("trace-out", 1),
+    ("flame-out", 1),
+    ("ledger", 1),
+    ("metrics-addr", 1),
+];
+const MINE_SWITCHES: &[&str] = &[
+    "shifting", "auto", "names", "csv", "trace", "explain", "progress", "-v", "-vv",
+];
+
+/// Parses `argv` against [`PARAM_FLAGS`] plus a command's `extra` flags.
+pub(crate) fn parse_with_params(
+    argv: &[String],
+    extra: &[(&str, usize)],
+    switches: &[&str],
+) -> Result<args::Args, String> {
+    args::parse(argv, &[PARAM_FLAGS, extra].concat(), switches)
+}
+
 pub fn mine_params_from(a: &args::Args) -> Result<Params, String> {
     let mut b = Params::builder()
         .epsilon(a.get_f64("eps")?.unwrap_or(0.01))
@@ -255,35 +299,31 @@ pub fn mine_params_from(a: &args::Args) -> Result<Params, String> {
     b.build().map_err(|e| e.to_string())
 }
 
+/// The ledger's parameter fingerprint: a content hash over every knob that
+/// shapes the search.
+pub(crate) fn params_hash(params: &Params) -> String {
+    content_hash(format!("{params:?}").as_bytes())
+}
+
+/// The report work of a finished run, shared by `mine` and a served job:
+/// cluster metrics measured under a recorder (fanned into `extra` too),
+/// merged into the run's report, rendered as a `tricluster.report/v2`
+/// document. Returns the merged report, the metrics and the document.
+pub(crate) fn assemble_report(
+    matrix: &Matrix3,
+    result: &MiningResult,
+    extra: &dyn EventSink,
+) -> (RunReport, Metrics, Json) {
+    let rec = Recorder::new();
+    let met = cluster_metrics_observed(matrix, &result.triclusters, &Fanout(vec![&rec, extra]));
+    let mut report = result.report.clone();
+    report.merge(&rec.snapshot());
+    let doc = runreport::report_to_json_v2(matrix, result, &report, &met);
+    (report, met, doc)
+}
+
 pub fn mine(argv: &[String]) -> Result<(), CliError> {
-    let a = args::parse(
-        argv,
-        &[
-            ("eps", 1),
-            ("eps-time", 1),
-            ("mx", 1),
-            ("my", 1),
-            ("mz", 1),
-            ("delta-x", 1),
-            ("delta-y", 1),
-            ("delta-z", 1),
-            ("merge", 2),
-            ("max-candidates", 1),
-            ("deadline", 1),
-            ("max-memory", 1),
-            ("threads", 1),
-            ("fanout", 1),
-            ("report-json", 1),
-            ("trace-out", 1),
-            ("flame-out", 1),
-            ("ledger", 1),
-            ("metrics-addr", 1),
-        ],
-        &[
-            "shifting", "auto", "names", "csv", "trace", "explain", "progress", "-v", "-vv",
-        ],
-    )
-    .map_err(CliError::Usage)?;
+    let a = parse_with_params(argv, MINE_FLAGS, MINE_SWITCHES).map_err(CliError::Usage)?;
     let Some(path) = a.positional.first() else {
         return Err(CliError::Usage(
             "mine: missing input file (stacked TSV)".into(),
@@ -297,11 +337,11 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     } else {
         0
     };
-    let report_json = a.get_str("report-json").map(str::to_string);
-    let trace_out = a.get_str("trace-out").map(str::to_string);
-    let flame_out = a.get_str("flame-out").map(str::to_string);
-    let ledger_dir = a.get_str("ledger").map(str::to_string);
-    let metrics_addr = a.get_str("metrics-addr").map(str::to_string);
+    let report_json = a.get_str("report-json");
+    let trace_out = a.get_str("trace-out");
+    let flame_out = a.get_str("flame-out");
+    let ledger_dir = a.get_str("ledger");
+    let metrics_addr = a.get_str("metrics-addr");
     // `--progress` alone means the default heartbeat; `--progress=SECS`
     // overrides the interval. Parse (and reject) up front so a bad value is
     // a usage error before any I/O.
@@ -319,19 +359,17 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     } else {
         None
     };
+    // The shifting branch mines the matrix as given (no `--auto`
+    // transposition) and has no observed run to report on.
     if a.has("shifting")
-        && (report_json.is_some()
-            || a.has("trace")
-            || a.has("explain")
-            || trace_out.is_some()
-            || flame_out.is_some()
-            || ledger_dir.is_some()
-            || progress_interval.is_some()
-            || metrics_addr.is_some())
+        && (MINE_FLAGS.iter().any(|(f, _)| a.get_str(f).is_some())
+            || ["auto", "trace", "explain", "progress"]
+                .iter()
+                .any(|s| a.has(s)))
     {
         return Err(CliError::Usage(
             "--report-json/--trace/--explain/--trace-out/--flame-out/--ledger/--progress\
-             /--metrics-addr are not supported with --shifting"
+             /--metrics-addr/--auto are not supported with --shifting"
                 .into(),
         ));
     }
@@ -391,7 +429,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     // The metrics registry aggregates whatever the run publishes; the
     // scrape server holds its own handle, so the registry keeps answering
     // (with the completed run's totals) until the server shuts down.
-    let registry = metrics_addr.as_ref().map(|_| {
+    let registry = metrics_addr.map(|_| {
         let registry = Arc::new(Registry::new());
         if let Some(p) = &progress {
             registry.attach_progress(p.clone());
@@ -400,7 +438,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     });
     // Held for the rest of the run; dropping it (any exit path) stops the
     // serve thread, so the endpoint dies with the mine.
-    let _metrics_server = match (&metrics_addr, &registry) {
+    let _metrics_server = match (metrics_addr, &registry) {
         (Some(addr), Some(registry)) => {
             let server = HttpServer::serve(addr, 0, scrape_handler(registry.clone()))
                 .map_err(|e| CliError::Run(format!("cannot serve metrics on {addr}: {e}")))?;
@@ -427,15 +465,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     if let Some(r) = &registry {
         sinks.push(&**r);
     }
-    let fanout_sink;
-    let sink: &dyn EventSink = match sinks.len() {
-        0 => &NullSink,
-        1 => sinks[0],
-        _ => {
-            fanout_sink = Fanout(sinks);
-            &fanout_sink
-        }
-    };
+    let sink = Fanout(sinks);
     // The heartbeat lives exactly as long as the mining call: dropping it
     // stops the thread after one final snapshot.
     let ticker = match (&progress, progress_interval) {
@@ -447,44 +477,32 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         _ => None,
     };
     let result = if a.has("auto") {
-        mine_auto(matrix, &params, sink)
+        mine_auto(matrix, &params, &sink)
     } else {
         // A one-shot run is a session with unlimited caps: identical code
         // path to a daemon job, minus the clamping.
-        engine.session(&params).run(matrix, sink)
+        engine.session(&params).run(matrix, &sink)
     };
     drop(ticker);
-    // Write the trace before bailing on a mining error: a partial timeline
-    // is most useful exactly when the run went wrong. The mining error
-    // still wins if both fail.
-    let trace_status = match (&timeline, &trace_out) {
-        (Some(t), Some(out_path)) => {
-            let trace = t.to_chrome_json().render_pretty() + "\n";
-            Some(
-                std::fs::write(out_path, trace)
-                    .map(|()| eprintln!("timeline trace written to {out_path}"))
-                    .map_err(|e| CliError::Run(format!("cannot write {out_path}: {e}"))),
-            )
-        }
-        _ => None,
+    // Write the timeline artifacts before bailing on a mining error: a
+    // partial timeline is most useful exactly when the run went wrong. The
+    // mining error still wins if both fail.
+    let write = |out: Option<&str>, what: &str, render: fn(&Timeline) -> String| {
+        let (Some(t), Some(out_path)) = (&timeline, out) else {
+            return Ok(());
+        };
+        std::fs::write(out_path, render(t))
+            .map(|()| eprintln!("{what} written to {out_path}"))
+            .map_err(|e| CliError::Run(format!("cannot write {out_path}: {e}")))
     };
-    // The folded flamegraph gets the same treatment: written from whatever
-    // the timeline captured even when mining failed.
-    let flame_status = match (&timeline, &flame_out) {
-        (Some(t), Some(out_path)) => Some(
-            std::fs::write(out_path, t.to_folded())
-                .map(|()| eprintln!("folded flamegraph stacks written to {out_path}"))
-                .map_err(|e| CliError::Run(format!("cannot write {out_path}: {e}"))),
-        ),
-        _ => None,
-    };
+    let chrome = |t: &Timeline| t.to_chrome_json().render_pretty() + "\n";
+    let written = write(trace_out, "timeline trace", chrome).and(write(
+        flame_out,
+        "folded flamegraph stacks",
+        Timeline::to_folded,
+    ));
     let result = result.map_err(CliError::from_mine)?;
-    if let Some(status) = trace_status {
-        status?;
-    }
-    if let Some(status) = flame_status {
-        status?;
-    }
+    written?;
     let truncated_note = match result.truncation {
         Some(reason) => format!(" (TRUNCATED: {} budget exhausted)", reason.as_str()),
         None => String::new(),
@@ -501,46 +519,26 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     if verbosity > 0 {
         print_verbose(&result, verbosity);
     }
-    // Metrics are computed once: observedly (so the report JSON carries the
-    // metrics span/counters) when any report consumer is present — the
-    // `--report-json` file or a `--ledger` archive — plainly otherwise.
-    let mut report = result.report.clone();
-    let met = if report_json.is_some() || ledger_dir.is_some() {
-        let rec = Recorder::new();
-        // Fan the metrics phase into the live registry too, so a final
-        // scrape (the server outlives the mine) sees `phase.metrics`.
-        let met = match &registry {
-            Some(r) => {
-                let fan = Fanout(vec![&rec, &**r]);
-                cluster_metrics_observed(matrix, &result.triclusters, &fan)
-            }
-            None => cluster_metrics_observed(matrix, &result.triclusters, &rec),
+    // The report is assembled once, and only for a report consumer — the
+    // `--report-json` file or a `--ledger` archive. The metrics phase fans
+    // into the live registry too, so a final scrape (the server outlives
+    // the mine) sees `phase.metrics`.
+    let assembled = (report_json.is_some() || ledger_dir.is_some()).then(|| {
+        let extra: &dyn EventSink = match &registry {
+            Some(r) => &**r,
+            None => &NullSink,
         };
-        report.merge(&rec.snapshot());
-        Some(met)
-    } else {
-        None
-    };
-    let doc = met
-        .as_ref()
-        .map(|m| runreport::report_to_json_v2(matrix, &result, &report, m));
-    if let Some(out_path) = &report_json {
-        let j = doc
-            .as_ref()
-            .expect("doc built whenever a report is written");
-        std::fs::write(out_path, j.render_pretty() + "\n")
+        assemble_report(matrix, &result, extra)
+    });
+    if let (Some(out_path), Some((_, _, doc))) = (report_json, &assembled) {
+        std::fs::write(out_path, doc.render_pretty() + "\n")
             .map_err(|e| CliError::Run(format!("cannot write {out_path}: {e}")))?;
     }
-    if let Some(dir) = &ledger_dir {
+    if let (Some(dir), Some((_, _, doc))) = (ledger_dir, &assembled) {
         // The dataset hash covers the input bytes as given (computed once
         // at parse time by the engine), so two runs over the same file are
-        // comparable even when labels differ in memory; the params hash
-        // covers every knob that shapes the search.
-        let dataset_hash = dataset.hash.clone();
-        let params_hash = content_hash(format!("{params:?}").as_bytes());
-        let trace_doc = timeline
-            .as_ref()
-            .map(|t| t.to_chrome_json().render_pretty() + "\n");
+        // comparable even when labels differ in memory.
+        let trace_doc = timeline.as_ref().map(chrome);
         let flame_doc = timeline.as_ref().map(|t| t.to_folded());
         let ledger = Ledger::open(dir)
             .map_err(|e| CliError::Run(format!("cannot open ledger {dir}: {e}")))?;
@@ -548,9 +546,9 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
             .archive(&NewEntry {
                 kind: "mine",
                 label: Some(path.clone()),
-                dataset_hash,
-                params_hash,
-                report: doc.as_ref().expect("doc built whenever a ledger is open"),
+                dataset_hash: dataset.hash.clone(),
+                params_hash: params_hash(&params),
+                report: doc,
                 trace: trace_doc.as_deref(),
                 flame: flame_doc.as_deref(),
             })
@@ -558,7 +556,8 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         eprintln!("run archived as {id} in {dir}");
     }
     if a.has("explain") {
-        print!("{}", runreport::explain_json(&report).render_pretty());
+        let report = assembled.as_ref().map_or(&result.report, |(r, _, _)| r);
+        print!("{}", runreport::explain_json(report).render_pretty());
         return Ok(());
     }
     if a.has("csv") {
@@ -570,7 +569,10 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     for (i, c) in result.triclusters.iter().enumerate() {
         print_cluster(i, c, labels, a.has("names"));
     }
-    let met = met.unwrap_or_else(|| result.metrics(matrix));
+    let met = match assembled {
+        Some((_, met, _)) => met,
+        None => result.metrics(matrix),
+    };
     println!("\n{met}");
     Ok(())
 }
@@ -598,13 +600,7 @@ pub fn watch(argv: &[String]) -> Result<(), CliError> {
         } else {
             format!("/{path}")
         };
-        let (status, body) = http_get(&format!("{base}{path}")).map_err(CliError::Run)?;
-        print!("{body}");
-        return if status == 200 {
-            Ok(())
-        } else {
-            Err(CliError::Run(format!("GET {path}: HTTP {status}")))
-        };
+        return expect_200(&format!("GET {path}"), http_get(&format!("{base}{path}")));
     }
     let interval = a
         .get_f64("interval")
@@ -688,6 +684,21 @@ pub fn watch(argv: &[String]) -> Result<(), CliError> {
         }
         std::thread::sleep(Duration::from_secs_f64(interval));
         response = http_get(&endpoint);
+    }
+}
+
+/// Prints the body of a one-request command's response (`watch --get`,
+/// `submit --cancel`/`--shutdown`); any status but 200 fails the command.
+pub(crate) fn expect_200(
+    what: &str,
+    response: Result<(u16, String), String>,
+) -> Result<(), CliError> {
+    let (status, body) = response.map_err(CliError::Run)?;
+    print!("{body}");
+    if status == 200 {
+        Ok(())
+    } else {
+        Err(CliError::Run(format!("{what}: HTTP {status}")))
     }
 }
 
@@ -1238,34 +1249,7 @@ mod tests {
 
     fn parse_mine(argv: &[&str]) -> args::Args {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        args::parse(
-            &argv,
-            &[
-                ("eps", 1),
-                ("eps-time", 1),
-                ("mx", 1),
-                ("my", 1),
-                ("mz", 1),
-                ("delta-x", 1),
-                ("delta-y", 1),
-                ("delta-z", 1),
-                ("merge", 2),
-                ("max-candidates", 1),
-                ("deadline", 1),
-                ("max-memory", 1),
-                ("threads", 1),
-                ("fanout", 1),
-                ("report-json", 1),
-                ("trace-out", 1),
-                ("flame-out", 1),
-                ("ledger", 1),
-                ("metrics-addr", 1),
-            ],
-            &[
-                "shifting", "auto", "names", "csv", "trace", "explain", "progress", "-v", "-vv",
-            ],
-        )
-        .unwrap()
+        parse_with_params(&argv, MINE_FLAGS, MINE_SWITCHES).unwrap()
     }
 
     #[test]
@@ -1766,6 +1750,8 @@ mod tests {
             vec!["--flame-out", "f.folded"],
             vec!["--ledger", "ldir"],
             vec!["--metrics-addr", "127.0.0.1:0"],
+            // the shifting branch mines untransposed: --auto would be dropped
+            vec!["--auto"],
         ] {
             let mut argv = vec!["f.tsv".to_string(), "--shifting".to_string()];
             argv.extend(extra.iter().map(|s| s.to_string()));

@@ -16,7 +16,7 @@
 //!                 [--cap-memory BYTES] [--cap-candidates N] [--cap-threads N]
 //!                 [--max-body BYTES] [--ledger DIR] [--cache-entries N]
 //! tricluster submit <URL> <stacked.tsv> [mine param flags] [--label L]
-//!                 [--by-path] [--wait] [--poll SECS] [--report-json out.json]
+//!                 [--by-path] [--wait [--poll SECS] [--report-json out.json]]
 //! tricluster submit <URL> --cancel ID | --shutdown drain|cancel
 //! ```
 //!

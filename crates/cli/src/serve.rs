@@ -59,7 +59,10 @@
 //! well-formed response without crossing job boundaries.
 
 use crate::args;
-use crate::commands::{mine_params_from, parse_bytes, CliError, HistogramTap};
+use crate::commands::{
+    assemble_report, expect_200, mine_params_from, params_hash, parse_bytes, parse_with_params,
+    CliError, HistogramTap, PARAM_FLAGS,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,15 +72,14 @@ use tricluster_core::obs::httpd::{
     http_get_retry, http_post, Handler, HttpServer, Request, Response,
 };
 use tricluster_core::obs::json::Json;
-use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
+use tricluster_core::obs::ledger::{Ledger, NewEntry};
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::names;
 use tricluster_core::obs::progress::{Progress, ProgressSink};
 use tricluster_core::obs::timeline::{self, Timeline};
-use tricluster_core::obs::{EventSink, Fanout};
-use tricluster_core::runreport;
+use tricluster_core::obs::{EventSink, Fanout, NullSink};
 use tricluster_core::{
-    cluster_metrics_observed, CancelHandle, Dataset, Engine, MineError, Session, TenantCaps,
+    fault::panic_message, CancelHandle, Dataset, Engine, Session, TenantCaps, TruncationReason,
 };
 
 /// Fault-injection sites of the serve layer, in request order. (The
@@ -179,10 +181,34 @@ impl JobState {
 /// What a finished job left behind.
 struct Outcome {
     clusters: usize,
-    truncation: Option<String>,
+    truncation: Option<TruncationReason>,
     error: Option<String>,
     secs: f64,
     report: Option<Json>,
+}
+
+impl Outcome {
+    /// A job cancelled before a worker took it.
+    fn cancelled_in_queue() -> Outcome {
+        Outcome {
+            clusters: 0,
+            truncation: Some(TruncationReason::Cancelled),
+            error: None,
+            secs: 0.0,
+            report: None,
+        }
+    }
+
+    /// The finished state this outcome puts its job in.
+    fn state(&self) -> JobState {
+        if self.error.is_some() {
+            JobState::Failed
+        } else if self.truncation == Some(TruncationReason::Cancelled) {
+            JobState::Cancelled
+        } else {
+            JobState::Done
+        }
+    }
 }
 
 /// One tenant job, from admission to retention.
@@ -239,8 +265,8 @@ impl Job {
             } else {
                 j = j.with("clusters", Json::U64(outcome.clusters as u64));
             }
-            if let Some(reason) = &outcome.truncation {
-                j = j.with("truncation", Json::Str(reason.clone()));
+            if let Some(reason) = outcome.truncation {
+                j = j.with("truncation", Json::Str(reason.as_str().into()));
             }
         }
         j
@@ -432,8 +458,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let (id, request_id, dataset, session, progress, tl, queue_wait) = {
             let mut state = shared.lock();
             loop {
-                if let Some(&id) = state.queue.front() {
-                    state.queue.pop_front();
+                if let Some(id) = state.queue.pop_front() {
                     let job = state.jobs.get_mut(&id).expect("queued job exists");
                     job.state = JobState::Running;
                     let dataset = job.dataset.clone().expect("queued job holds its dataset");
@@ -465,49 +490,38 @@ fn worker_loop(shared: &Arc<Shared>) {
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(shared, id, request_id, &tl, &dataset, &session, &progress)
         }))
-        .unwrap_or_else(|payload| Err(FailedJob::Panic(payload)));
-        shared.metrics.span(names::SV_RUN, started.elapsed());
+        .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(payload))));
+        let elapsed = started.elapsed();
+        shared.metrics.span(names::SV_RUN, elapsed);
+        let secs = elapsed.as_secs_f64();
         let outcome = match ran {
             Ok((clusters, truncation, report)) => Outcome {
                 clusters,
                 truncation,
                 error: None,
-                secs: started.elapsed().as_secs_f64(),
+                secs,
                 report: Some(report),
             },
-            Err(message) => Outcome {
+            Err(error) => Outcome {
                 clusters: 0,
                 truncation: None,
-                error: Some(match message {
-                    FailedJob::Message(m) => m,
-                    FailedJob::Panic(payload) => format!(
-                        "job panicked: {}",
-                        payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into())
-                    ),
-                }),
-                secs: started.elapsed().as_secs_f64(),
+                error: Some(error),
+                secs,
                 report: None,
             },
         };
-        finish_job(shared, id, outcome);
+        retire(shared, &mut shared.lock(), id, outcome);
+        // A worker slot freed; drain waiters and peers may care.
+        shared.work.notify_all();
+        shared.shutdown.notify_all();
     }
 }
 
-/// Why a job produced no result.
-enum FailedJob {
-    Message(String),
-    Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// Runs one admitted job end to end: mine, metrics, v2 report. The sink
-/// stack matches `mine --report-json` exactly (histograms on, progress
-/// gauges live), so the deterministic report sections are byte-identical
-/// to a one-shot run over the same dataset and params.
-#[allow(clippy::type_complexity)]
+/// Runs one admitted job end to end: mine, then the same report assembly
+/// as `mine --report-json`. The sink stack matches that command too
+/// (histograms on, progress gauges live), so the deterministic report
+/// sections are byte-identical to a one-shot run over the same dataset
+/// and params.
 fn run_job(
     shared: &Arc<Shared>,
     id: u64,
@@ -516,24 +530,24 @@ fn run_job(
     dataset: &Dataset,
     session: &Session,
     progress: &Arc<Progress>,
-) -> Result<(usize, Option<String>, Json), FailedJob> {
+) -> Result<(usize, Option<TruncationReason>, Json), String> {
     if let Some(msg) = tricluster_failpoint::trigger("serve.job.spawn") {
-        return Err(FailedJob::Message(msg));
+        return Err(msg);
     }
     let att = tl.attach("serve-worker");
     timeline::instant(names::T_SV_STARTED);
     let progress_sink = ProgressSink(progress.clone());
-    let hist = HistogramTap;
-    let sink = Fanout(vec![&hist as &dyn EventSink, &progress_sink, tl.as_ref()]);
+    let sink = Fanout(vec![
+        &HistogramTap as &dyn EventSink,
+        &progress_sink,
+        tl.as_ref(),
+    ]);
     let params = session.params();
     progress.set_budgets(params.deadline, params.max_memory, params.max_candidates);
     let result = session
         .run(&dataset.matrix, &sink)
-        .map_err(|e: MineError| FailedJob::Message(e.to_string()))?;
-    let mut report = result.report.clone();
-    let rec = tricluster_core::obs::Recorder::new();
-    let met = cluster_metrics_observed(&dataset.matrix, &result.triclusters, &rec);
-    report.merge(&rec.snapshot());
+        .map_err(|e| e.to_string())?;
+    let (_, _, doc) = assemble_report(&dataset.matrix, &result, &NullSink);
     timeline::instant(names::T_SV_FINISHED);
     // Flush this thread's event ring before rendering the trace below.
     drop(att);
@@ -541,7 +555,7 @@ fn run_job(
     // produced it); it is NOT one of the deterministic sections, so a
     // served report still matches a one-shot `mine` byte-for-byte where
     // it counts.
-    let doc = runreport::report_to_json_v2(&dataset.matrix, &result, &report, &met).with(
+    let doc = doc.with(
         "serve",
         Json::obj()
             .with("request_id", Json::U64(request_id))
@@ -559,7 +573,7 @@ fn run_job(
             kind: "serve",
             label: Some(dataset.hash.clone()),
             dataset_hash: dataset.hash.clone(),
-            params_hash: content_hash(format!("{params:?}").as_bytes()),
+            params_hash: params_hash(params),
             report: &doc,
             trace: Some(&trace),
             flame: None,
@@ -575,40 +589,50 @@ fn run_job(
             .metrics
             .span(names::SV_ARCHIVE, archive_started.elapsed());
     }
-    Ok((
-        result.triclusters.len(),
-        result.truncation.map(|r| r.as_str().to_owned()),
-        doc,
-    ))
+    Ok((result.triclusters.len(), result.truncation, doc))
 }
 
-/// Records a finished job: state, counters, retention, memory release.
-fn finish_job(shared: &Arc<Shared>, id: u64, outcome: Outcome) {
-    let mut state = shared.lock();
-    let job = state.jobs.get_mut(&id).expect("running job exists");
-    job.state = if outcome.error.is_some() {
-        JobState::Failed
-    } else if outcome.truncation.as_deref() == Some("cancelled") {
-        JobState::Cancelled
-    } else {
-        JobState::Done
-    };
-    let released = job.matrix_bytes;
-    let finished = job.state;
+/// Moves a live job into the finished state its outcome names, under the
+/// daemon lock: stores the outcome, drops the job's dataset and session,
+/// releases its admitted bytes, counts it, and applies the retention
+/// bound.
+fn retire(shared: &Shared, state: &mut State, id: u64, outcome: Outcome) {
+    let job = state.jobs.get_mut(&id).expect("a retiring job is live");
+    job.state = outcome.state();
     job.dataset = None;
+    job.session = None;
     job.outcome = Some(outcome);
-    state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
-    evict_finished(&mut state);
-    drop(state);
-    let counter = match finished {
+    let counter = match job.state {
         JobState::Failed => names::SV_JOBS_FAILED,
         JobState::Cancelled => names::SV_JOBS_CANCELLED,
         _ => names::SV_JOBS_COMPLETED,
     };
+    state.admitted_bytes = state.admitted_bytes.saturating_sub(job.matrix_bytes);
+    evict_finished(state);
     shared.metrics.counter(counter, 1);
-    // A worker slot freed; drain waiters and peers may care.
-    shared.work.notify_all();
-    shared.shutdown.notify_all();
+}
+
+/// Cancels job `id` under the daemon lock and returns the state it was in
+/// (`None`: no such job). A queued job leaves the queue and retires at
+/// once; a running one has its handle tripped and retires as cancelled
+/// when its worker winds down. A finished job is left alone.
+fn cancel_locked(shared: &Shared, state: &mut State, id: u64) -> Option<JobState> {
+    let job = state.jobs.get_mut(&id)?;
+    let was = job.state;
+    if was.is_finished() {
+        return Some(was);
+    }
+    job.cancelling = true;
+    job.cancel.cancel();
+    {
+        let _att = job.timeline.attach("serve-http");
+        timeline::instant(names::T_SV_CANCELLED);
+    }
+    if was == JobState::Queued {
+        state.queue.retain(|&q| q != id);
+        retire(shared, state, id, Outcome::cancelled_in_queue());
+    }
+    Some(was)
 }
 
 /// Drops the oldest finished jobs beyond the retention window. Queued and
@@ -734,41 +758,35 @@ fn error_response(status: u16, code: &str, detail: &str) -> Response {
     Response::json(status, body.render() + "\n")
 }
 
+/// `/stats` lifecycle counters as (JSON key, metric name), in body order.
+const STATS_COUNTERS: &[(&str, &str)] = &[
+    ("submitted", names::SV_JOBS_ACCEPTED),
+    ("rejected_queue", names::SV_JOBS_REJECTED_QUEUE_FULL),
+    ("rejected_memory", names::SV_JOBS_REJECTED_MEMORY),
+    ("clamped", names::SV_JOBS_CLAMPED),
+    ("completed", names::SV_JOBS_COMPLETED),
+    ("failed", names::SV_JOBS_FAILED),
+    ("cancelled", names::SV_JOBS_CANCELLED),
+    ("http_requests", names::SV_HTTP_REQUESTS),
+];
+
+/// `/jobs` service counters as (JSON key, metric name), in body order.
+const JOBS_COUNTERS: &[(&str, &str)] = &[
+    ("accepted", names::SV_JOBS_ACCEPTED),
+    ("completed", names::SV_JOBS_COMPLETED),
+    ("failed", names::SV_JOBS_FAILED),
+    ("cancelled", names::SV_JOBS_CANCELLED),
+];
+
+/// One JSON object of the daemon's lifecycle counters, keyed per `table`.
+fn counters_json(shared: &Shared, table: &[(&str, &str)]) -> Json {
+    table.iter().fold(Json::obj(), |j, &(key, name)| {
+        j.with(key, Json::U64(shared.metrics.counter_value(name)))
+    })
+}
+
 fn stats_response(shared: &Arc<Shared>) -> Response {
-    let svc = &shared.metrics;
-    let counters = Json::obj()
-        .with(
-            "submitted",
-            Json::U64(svc.counter_value(names::SV_JOBS_ACCEPTED)),
-        )
-        .with(
-            "rejected_queue",
-            Json::U64(svc.counter_value(names::SV_JOBS_REJECTED_QUEUE_FULL)),
-        )
-        .with(
-            "rejected_memory",
-            Json::U64(svc.counter_value(names::SV_JOBS_REJECTED_MEMORY)),
-        )
-        .with(
-            "clamped",
-            Json::U64(svc.counter_value(names::SV_JOBS_CLAMPED)),
-        )
-        .with(
-            "completed",
-            Json::U64(svc.counter_value(names::SV_JOBS_COMPLETED)),
-        )
-        .with(
-            "failed",
-            Json::U64(svc.counter_value(names::SV_JOBS_FAILED)),
-        )
-        .with(
-            "cancelled",
-            Json::U64(svc.counter_value(names::SV_JOBS_CANCELLED)),
-        )
-        .with(
-            "http_requests",
-            Json::U64(svc.counter_value(names::SV_HTTP_REQUESTS)),
-        );
+    let counters = counters_json(shared, STATS_COUNTERS);
     let state = shared.lock();
     let g = Gauges::sample(shared, &state);
     let body = Json::obj()
@@ -812,24 +830,7 @@ fn metrics_response(shared: &Arc<Shared>) -> Response {
 }
 
 fn list_jobs(shared: &Arc<Shared>) -> Response {
-    let svc = &shared.metrics;
-    let service = Json::obj()
-        .with(
-            "accepted",
-            Json::U64(svc.counter_value(names::SV_JOBS_ACCEPTED)),
-        )
-        .with(
-            "completed",
-            Json::U64(svc.counter_value(names::SV_JOBS_COMPLETED)),
-        )
-        .with(
-            "failed",
-            Json::U64(svc.counter_value(names::SV_JOBS_FAILED)),
-        )
-        .with(
-            "cancelled",
-            Json::U64(svc.counter_value(names::SV_JOBS_CANCELLED)),
-        );
+    let service = counters_json(shared, JOBS_COUNTERS);
     let state = shared.lock();
     let g = Gauges::sample(shared, &state);
     let jobs: Vec<Json> = state.jobs.values().map(Job::summary_json).collect();
@@ -873,25 +874,8 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         return error_response(503, "fault_injected", &msg);
     }
     // Cheap rejections (no parse work) first: drain state and queue depth.
-    {
-        let state = shared.lock();
-        if state.draining.is_some() {
-            audit.shed_reason = Some("draining");
-            return error_response(503, "draining", "daemon is shutting down");
-        }
-        if state.queue.len() >= shared.cfg.queue_depth {
-            let depth = state.queue.len();
-            drop(state);
-            shared
-                .metrics
-                .counter(names::SV_JOBS_REJECTED_QUEUE_FULL, 1);
-            audit.shed_reason = Some("queue_full");
-            return rejection(
-                "queue_full",
-                &format!("queue depth {depth} reached"),
-                shared,
-            );
-        }
+    if let Some(shed) = shed(shared, &shared.lock(), 0, audit) {
+        return shed;
     }
     let Ok(text) = std::str::from_utf8(body) else {
         return error_response(400, "bad_request", "body is not UTF-8");
@@ -923,37 +907,7 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     let was_cached = shared.engine.cache_stats().0 > hits_before;
     // Params arrive as mine-style flags and go through the exact same
     // parser as the CLI, so a daemon job cannot drift from a one-shot run.
-    let params_argv: Vec<String> = doc
-        .get("params")
-        .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_owned))
-                .collect()
-        })
-        .unwrap_or_default();
-    let parsed = args::parse(
-        &params_argv,
-        &[
-            ("eps", 1),
-            ("eps-time", 1),
-            ("mx", 1),
-            ("my", 1),
-            ("mz", 1),
-            ("delta-x", 1),
-            ("delta-y", 1),
-            ("delta-z", 1),
-            ("merge", 2),
-            ("max-candidates", 1),
-            ("deadline", 1),
-            ("max-memory", 1),
-            ("threads", 1),
-            ("fanout", 1),
-        ],
-        &[],
-    );
-    let requested = match parsed.and_then(|a| mine_params_from(&a)) {
+    let requested = match params_of_job(&doc) {
         Ok(p) => p,
         Err(e) => return error_response(400, "bad_params", &e),
     };
@@ -971,38 +925,8 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
 
     let mut state = shared.lock();
     // Re-check under the lock: admission raced other submissions.
-    if state.draining.is_some() {
-        audit.shed_reason = Some("draining");
-        return error_response(503, "draining", "daemon is shutting down");
-    }
-    if state.queue.len() >= shared.cfg.queue_depth {
-        let depth = state.queue.len();
-        drop(state);
-        shared
-            .metrics
-            .counter(names::SV_JOBS_REJECTED_QUEUE_FULL, 1);
-        audit.shed_reason = Some("queue_full");
-        return rejection(
-            "queue_full",
-            &format!("queue depth {depth} reached"),
-            shared,
-        );
-    }
-    if let Some(budget) = shared.cfg.memory_budget {
-        if state.admitted_bytes + matrix_bytes > budget {
-            let admitted = state.admitted_bytes;
-            drop(state);
-            shared.metrics.counter(names::SV_JOBS_REJECTED_MEMORY, 1);
-            audit.shed_reason = Some("memory_budget");
-            return rejection(
-                "memory_budget",
-                &format!(
-                    "admitting {matrix_bytes} B on top of {admitted} B would exceed \
-                     the {budget} B aggregate budget"
-                ),
-                shared,
-            );
-        }
+    if let Some(shed) = shed(shared, &state, matrix_bytes, audit) {
+        return shed;
     }
     if let Some(msg) = tricluster_failpoint::trigger("serve.queue") {
         return error_response(503, "fault_injected", &msg);
@@ -1051,74 +975,62 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     Response::json(202, body.render() + "\n")
 }
 
-/// A 429-style shed-load rejection with the queue/memory numbers the
-/// client needs to back off intelligently.
-fn rejection(reason: &str, detail: &str, shared: &Arc<Shared>) -> Response {
-    let state = shared.lock();
+/// The shed check of `POST /jobs`: refuses a submission the daemon cannot
+/// queue right now — draining (503), queue full, or over the aggregate
+/// memory budget (429, with the queue/memory numbers a client needs to
+/// back off intelligently) — counting it and noting the reason for the
+/// audit log. Runs before the body is parsed (with `matrix_bytes` 0) and
+/// again under the admitting lock.
+fn shed(shared: &Shared, state: &State, matrix_bytes: u64, audit: &mut Audit) -> Option<Response> {
+    let depth = state.queue.len();
+    let admitted = state.admitted_bytes;
+    let (reason, counter, detail) = if state.draining.is_some() {
+        audit.shed_reason = Some("draining");
+        return Some(error_response(503, "draining", "daemon is shutting down"));
+    } else if depth >= shared.cfg.queue_depth {
+        let detail = format!("queue depth {depth} reached");
+        ("queue_full", names::SV_JOBS_REJECTED_QUEUE_FULL, detail)
+    } else {
+        match shared.cfg.memory_budget {
+            Some(budget) if admitted + matrix_bytes > budget => {
+                let detail = format!(
+                    "admitting {matrix_bytes} B on top of {admitted} B would exceed \
+                     the {budget} B aggregate budget"
+                );
+                ("memory_budget", names::SV_JOBS_REJECTED_MEMORY, detail)
+            }
+            _ => return None,
+        }
+    };
+    shared.metrics.counter(counter, 1);
+    audit.shed_reason = Some(reason);
     let body = Json::obj()
         .with("error", Json::Str("rejected".into()))
         .with("reason", Json::Str(reason.into()))
-        .with("detail", Json::Str(detail.into()))
-        .with("queue_depth", Json::U64(state.queue.len() as u64))
+        .with("detail", Json::Str(detail))
+        .with("queue_depth", Json::U64(depth as u64))
         .with("queue_capacity", Json::U64(shared.cfg.queue_depth as u64))
-        .with("admitted_bytes", Json::U64(state.admitted_bytes));
-    Response::json(429, body.render() + "\n")
+        .with("admitted_bytes", Json::U64(admitted));
+    Some(Response::json(429, body.render() + "\n"))
 }
 
 fn cancel_job(shared: &Arc<Shared>, id: u64) -> Response {
-    let mut state = shared.lock();
-    let Some(job) = state.jobs.get_mut(&id) else {
-        return error_response(404, "not_found", "no such job (or already evicted)");
+    let was = cancel_locked(shared, &mut shared.lock(), id);
+    let body = Json::obj().with("id", Json::U64(id));
+    let body = match was {
+        None => return error_response(404, "not_found", "no such job (or already evicted)"),
+        Some(JobState::Queued) => body.with("state", Json::Str("cancelled".into())),
+        // Cooperative: the run winds down into a truncated (reason
+        // "cancelled") result; the state flips when the worker finishes.
+        Some(JobState::Running) => body
+            .with("state", Json::Str("running".into()))
+            .with("cancelling", Json::Bool(true)),
+        Some(finished) => {
+            let detail = format!("job is {}", finished.as_str());
+            return error_response(409, "already_finished", &detail);
+        }
     };
-    match job.state {
-        JobState::Queued => {
-            job.state = JobState::Cancelled;
-            job.cancelling = true;
-            job.dataset = None;
-            job.session = None;
-            job.outcome = Some(Outcome {
-                clusters: 0,
-                truncation: Some("cancelled".into()),
-                error: None,
-                secs: 0.0,
-                report: None,
-            });
-            {
-                let _att = job.timeline.attach("serve-http");
-                timeline::instant(names::T_SV_CANCELLED);
-            }
-            let released = job.matrix_bytes;
-            state.queue.retain(|&q| q != id);
-            state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
-            drop(state);
-            shared.metrics.counter(names::SV_JOBS_CANCELLED, 1);
-            let body = Json::obj()
-                .with("id", Json::U64(id))
-                .with("state", Json::Str("cancelled".into()));
-            Response::json(200, body.render() + "\n")
-        }
-        JobState::Running => {
-            // Cooperative: trip the handle, let the run wind down into a
-            // truncated (reason "cancelled") result. State flips (and the
-            // cancelled counter bumps) when the worker finishes.
-            job.cancelling = true;
-            job.cancel.cancel();
-            {
-                let _att = job.timeline.attach("serve-http");
-                timeline::instant(names::T_SV_CANCELLED);
-            }
-            let body = Json::obj()
-                .with("id", Json::U64(id))
-                .with("state", Json::Str("running".into()))
-                .with("cancelling", Json::Bool(true));
-            Response::json(200, body.render() + "\n")
-        }
-        finished => error_response(
-            409,
-            "already_finished",
-            &format!("job is {}", finished.as_str()),
-        ),
-    }
+    Response::json(200, body.render() + "\n")
 }
 
 /// `POST /shutdown`: stop admitting and wake the drain. Body (optional):
@@ -1148,46 +1060,19 @@ fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
     let mut state = shared.lock();
     let already = state.draining.is_some();
     state.draining = Some(mode);
-    let mut cancelled_now = 0u64;
     if mode == ShutdownMode::Cancel {
         // Queued jobs become cancelled records; running jobs get tripped.
-        let queued: Vec<u64> = state.queue.drain(..).collect();
-        for id in queued {
-            if let Some(job) = state.jobs.get_mut(&id) {
-                job.state = JobState::Cancelled;
-                job.dataset = None;
-                job.session = None;
-                job.outcome = Some(Outcome {
-                    clusters: 0,
-                    truncation: Some("cancelled".into()),
-                    error: None,
-                    secs: 0.0,
-                    report: None,
-                });
-                {
-                    let _att = job.timeline.attach("serve-http");
-                    timeline::instant(names::T_SV_CANCELLED);
-                }
-                let released = job.matrix_bytes;
-                state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
-                cancelled_now += 1;
-            }
-        }
-        for job in state.jobs.values_mut() {
-            if job.state == JobState::Running {
-                job.cancelling = true;
-                job.cancel.cancel();
-                let _att = job.timeline.attach("serve-http");
-                timeline::instant(names::T_SV_CANCELLED);
-            }
+        let live: Vec<u64> = state
+            .jobs
+            .values()
+            .filter(|j| !j.state.is_finished())
+            .map(|j| j.id)
+            .collect();
+        for id in live {
+            cancel_locked(shared, &mut state, id);
         }
     }
     drop(state);
-    if cancelled_now > 0 {
-        shared
-            .metrics
-            .counter(names::SV_JOBS_CANCELLED, cancelled_now);
-    }
     shared.work.notify_all();
     shared.shutdown.notify_all();
     let body = Json::obj()
@@ -1274,72 +1159,81 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `submit`'s own flags on top of [`PARAM_FLAGS`].
+const SUBMIT_FLAGS: &[(&str, usize)] = &[
+    ("label", 1),
+    ("poll", 1),
+    ("report-json", 1),
+    ("cancel", 1),
+    ("shutdown", 1),
+];
+
+/// The `params` array of a `POST /jobs` body: the submitter's param flags,
+/// in their own tokens.
+fn job_params(a: &args::Args) -> Json {
+    Json::Arr(a.forward(PARAM_FLAGS).into_iter().map(Json::Str).collect())
+}
+
+/// The [`Params`](tricluster_core::Params) a `POST /jobs` body asks for,
+/// parsed exactly like `mine`'s flags.
+fn params_of_job(doc: &Json) -> Result<tricluster_core::Params, String> {
+    let argv: Vec<String> = doc
+        .get("params")
+        .and_then(Json::as_arr)
+        .map(|items| {
+            items
+                .iter()
+                .filter_map(|v| v.as_str().map(str::to_owned))
+                .collect()
+        })
+        .unwrap_or_default();
+    mine_params_from(&parse_with_params(&argv, &[], &[])?)
+}
+
+/// The `POST /shutdown` body asking for `mode`.
+fn shutdown_body(mode: &str) -> String {
+    Json::obj().with("mode", Json::Str(mode.into())).render()
+}
+
 /// The `submit` command: client for a running daemon.
 ///
 /// ```text
 /// tricluster submit URL DATA.tsv [mine param flags] [--label L] [--by-path]
-///                   [--wait [--poll SECS]] [--report-json PATH]
+///                   [--wait [--poll SECS] [--report-json PATH]]
 /// tricluster submit URL --cancel ID
 /// tricluster submit URL --shutdown [drain|cancel]
 /// ```
 pub fn submit(argv: &[String]) -> Result<(), CliError> {
-    let a = args::parse(
-        argv,
-        &[
-            ("eps", 1),
-            ("eps-time", 1),
-            ("mx", 1),
-            ("my", 1),
-            ("mz", 1),
-            ("delta-x", 1),
-            ("delta-y", 1),
-            ("delta-z", 1),
-            ("merge", 2),
-            ("max-candidates", 1),
-            ("deadline", 1),
-            ("max-memory", 1),
-            ("threads", 1),
-            ("fanout", 1),
-            ("label", 1),
-            ("poll", 1),
-            ("report-json", 1),
-            ("cancel", 1),
-            ("shutdown", 1),
-        ],
-        &["by-path", "wait"],
-    )
-    .map_err(CliError::Usage)?;
+    let a = parse_with_params(argv, SUBMIT_FLAGS, &["by-path", "wait"]).map_err(CliError::Usage)?;
     let Some(url) = a.positional.first() else {
         return Err(CliError::Usage(
             "submit: missing daemon URL (as printed by serve, e.g. http://127.0.0.1:7171)".into(),
         ));
     };
     let base = url.trim_end_matches('/').to_string();
+    if !a.has("wait") {
+        if let Some(flag) = ["report-json", "poll"]
+            .into_iter()
+            .find(|f| a.get_str(f).is_some())
+        {
+            return Err(CliError::Usage(format!("submit: --{flag} needs --wait")));
+        }
+    }
+    let poll = a.get_f64("poll").map_err(CliError::Usage)?.unwrap_or(0.2);
+    if !poll.is_finite() || poll <= 0.0 {
+        return Err(CliError::Usage(format!(
+            "--poll expects a positive number of seconds, got {poll}"
+        )));
+    }
 
     if let Some(id) = a.get_str("cancel") {
-        let (status, body) = tricluster_core::obs::httpd::http_delete(&format!("{base}/jobs/{id}"))
-            .map_err(CliError::Run)?;
-        print!("{body}");
-        return if status == 200 {
-            Ok(())
-        } else {
-            Err(CliError::Run(format!("DELETE /jobs/{id}: HTTP {status}")))
-        };
+        let response = tricluster_core::obs::httpd::http_delete(&format!("{base}/jobs/{id}"));
+        return expect_200(&format!("DELETE /jobs/{id}"), response);
     }
     if let Some(mode) = a.get_str("shutdown") {
-        let body = format!("{{\"mode\":\"{mode}\"}}");
-        let (status, body) = http_post(
-            &format!("{base}/shutdown"),
-            "application/json",
-            body.as_bytes(),
-        )
-        .map_err(CliError::Run)?;
-        print!("{body}");
-        return if status == 200 {
-            Ok(())
-        } else {
-            Err(CliError::Run(format!("POST /shutdown: HTTP {status}")))
-        };
+        let url = format!("{base}/shutdown");
+        let response = http_post(&url, "application/json", shutdown_body(mode).as_bytes());
+        return expect_200("POST /shutdown", response);
     }
 
     let Some(path) = a.positional.get(1) else {
@@ -1347,38 +1241,10 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
             "submit: missing dataset file (stacked TSV), or --cancel ID / --shutdown MODE".into(),
         ));
     };
-    // Forward the param flags verbatim — the daemon runs them through the
-    // same parser as `mine`, after validating them here for a fast local
-    // usage error.
+    // Validate the param flags here for a fast local usage error, then
+    // forward the user's own tokens: the daemon parses them exactly like
+    // `mine` does.
     mine_params_from(&a).map_err(CliError::Usage)?;
-    let mut params_argv: Vec<Json> = Vec::new();
-    for (flag, arity) in &[
-        ("eps", 1),
-        ("eps-time", 1),
-        ("mx", 1),
-        ("my", 1),
-        ("mz", 1),
-        ("delta-x", 1),
-        ("delta-y", 1),
-        ("delta-z", 1),
-        ("merge", 2),
-        ("max-candidates", 1),
-        ("deadline", 1),
-        ("max-memory", 1),
-        ("threads", 1),
-        ("fanout", 1),
-    ] {
-        if *arity == 2 {
-            if let Some((x, y)) = a.get_pair_f64(flag).map_err(CliError::Usage)? {
-                params_argv.push(Json::Str(format!("--{flag}")));
-                params_argv.push(Json::Str(x.to_string()));
-                params_argv.push(Json::Str(y.to_string()));
-            }
-        } else if let Some(v) = a.get_str(flag) {
-            params_argv.push(Json::Str(format!("--{flag}")));
-            params_argv.push(Json::Str(v.to_owned()));
-        }
-    }
     let mut body = Json::obj();
     if let Some(label) = a.get_str("label") {
         body = body.with("label", Json::Str(label.to_owned()));
@@ -1395,7 +1261,7 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Run(format!("cannot read {path}: {e}")))?;
         body = body.with("dataset", Json::Str(text));
     }
-    body = body.with("params", Json::Arr(params_argv));
+    body = body.with("params", job_params(&a));
     let (status, response) = http_post(
         &format!("{base}/jobs"),
         "application/json",
@@ -1427,12 +1293,6 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
     if !a.has("wait") {
         println!("{id}");
         return Ok(());
-    }
-    let poll = a.get_f64("poll").map_err(CliError::Usage)?.unwrap_or(0.2);
-    if !poll.is_finite() || poll <= 0.0 {
-        return Err(CliError::Usage(format!(
-            "--poll expects a positive number of seconds, got {poll}"
-        )));
     }
     let status_url = format!("{base}/jobs/{id}");
     loop {
@@ -2234,6 +2094,170 @@ mod tests {
             "cancel-mode shutdown took {:?}",
             started.elapsed()
         );
+    }
+
+    /// How many finished (done/failed/cancelled) records `GET /jobs` lists.
+    fn finished_records(base: &str) -> usize {
+        let (_, text) = http_get(&format!("{base}/jobs")).unwrap();
+        let listing = Json::parse(text.trim()).unwrap();
+        let jobs = listing.get("jobs").unwrap().as_arr().unwrap();
+        jobs.iter()
+            .filter(|j| {
+                let state = j.get("state").and_then(Json::as_str);
+                matches!(state, Some("done" | "failed" | "cancelled"))
+            })
+            .count()
+    }
+
+    fn job_state(base: &str, id: u64) -> String {
+        let (_, text) = http_get(&format!("{base}/jobs/{id}")).unwrap();
+        let doc = Json::parse(text.trim()).unwrap();
+        let state = doc.get_path(&["job", "state"]).and_then(Json::as_str);
+        state.unwrap().to_owned()
+    }
+
+    /// Occupies the single worker with a job held in a `serve.job.spawn`
+    /// delay, so every later submission stays queued; returns its id once
+    /// it runs.
+    fn hold_worker(base: &str) -> u64 {
+        failpoint::configure_once("serve.job.spawn", Action::Delay(Duration::from_secs(3)));
+        let (status, held) = post_job(base, &submit_body("held", &[]));
+        assert_eq!(status, 202, "{held:?}");
+        let id = held.get("id").unwrap().as_u64().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while job_state(base, id) != "running" {
+            assert!(Instant::now() < deadline, "held job never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        id
+    }
+
+    /// Jobs cancelled while queued count against the retention bound:
+    /// submit-then-`DELETE` behind a busy worker must not grow the
+    /// finished records past `KEEP_FINISHED`.
+    #[test]
+    fn retention_bounds_jobs_deleted_while_queued() {
+        let _scenario = failpoint::scenario();
+        let daemon = Daemon::start(test_cfg()).unwrap();
+        let base = daemon.url();
+        let held = hold_worker(&base);
+        for i in 0..KEEP_FINISHED + 6 {
+            let (status, accepted) = post_job(&base, &submit_body(&format!("q{i}"), &[]));
+            assert_eq!(status, 202, "{accepted:?}");
+            let id = accepted.get("id").unwrap().as_u64().unwrap();
+            let (status, text) = http_delete(&format!("{base}/jobs/{id}")).unwrap();
+            assert_eq!(status, 200, "{text}");
+            assert!(text.contains("\"cancelled\""), "{text}");
+        }
+        assert_eq!(job_state(&base, held), "running", "the worker was not held");
+        assert_eq!(finished_records(&base), KEEP_FINISHED);
+        shut_down(daemon);
+    }
+
+    /// The same bound holds for queued jobs a `{"mode":"cancel"}` shutdown
+    /// converts into cancelled records.
+    #[test]
+    fn retention_bounds_jobs_cancelled_by_shutdown() {
+        let _scenario = failpoint::scenario();
+        let daemon = Daemon::start(ServeConfig {
+            queue_depth: KEEP_FINISHED + 6,
+            ..test_cfg()
+        })
+        .unwrap();
+        let base = daemon.url();
+        let held = hold_worker(&base);
+        for i in 0..KEEP_FINISHED + 6 {
+            let (status, accepted) = post_job(&base, &submit_body(&format!("q{i}"), &[]));
+            assert_eq!(status, 202, "{accepted:?}");
+        }
+        let url = format!("{base}/shutdown");
+        let (status, text) = http_post(&url, "application/json", b"{\"mode\":\"cancel\"}").unwrap();
+        assert_eq!(status, 200, "{text}");
+        assert_eq!(job_state(&base, held), "running", "the worker was not held");
+        assert_eq!(finished_records(&base), KEEP_FINISHED);
+        daemon.wait();
+    }
+
+    /// `--report-json` and `--poll` only mean something with `--wait`;
+    /// without it they are usage errors, raised before any request.
+    #[test]
+    fn submit_report_json_and_poll_need_wait() {
+        for extra in [["--report-json", "out.json"], ["--poll", "0.5"]] {
+            let mut argv = vec!["http://127.0.0.1:1".to_string(), "data.tsv".to_string()];
+            argv.extend(extra.iter().map(|s| s.to_string()));
+            let e = submit(&argv).unwrap_err();
+            assert!(
+                matches!(&e, CliError::Usage(m) if m.contains("--wait")),
+                "{e}"
+            );
+        }
+    }
+
+    /// `submit --shutdown` sends its mode as a JSON string, so a mode with
+    /// a quote in it is an unknown mode to the daemon, not a broken body,
+    /// and the daemon keeps running.
+    #[test]
+    fn submit_shutdown_mode_is_json_escaped() {
+        let _scenario = failpoint::scenario();
+        let daemon = Daemon::start(test_cfg()).unwrap();
+        let base = daemon.url();
+        let url = format!("{base}/shutdown");
+        let (status, text) = http_post(
+            &url,
+            "application/json",
+            shutdown_body("dr\"ain").as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains("unknown shutdown mode"), "{text}");
+        let e = submit(&[base.clone(), "--shutdown".into(), "dr\"ain".into()]).unwrap_err();
+        assert!(
+            matches!(&e, CliError::Run(m) if m.contains("HTTP 400")),
+            "{e}"
+        );
+        let (_, stats) = http_get(&format!("{base}/stats")).unwrap();
+        assert!(stats.contains("\"draining\": false"), "{stats}");
+        shut_down(daemon);
+    }
+
+    /// Every param flag is documented in `USAGE`, and reaches the daemon's
+    /// parser unchanged through `submit`'s forwarding: the `Params` a
+    /// served job runs with equal the ones `submit` parsed locally.
+    #[test]
+    fn every_param_flag_is_documented_and_forwarded_unchanged() {
+        let default = mine_params_from(&parse_with_params(&[], &[], &[]).unwrap()).unwrap();
+        for &(flag, arity) in PARAM_FLAGS {
+            assert!(
+                crate::commands::USAGE.contains(&format!("--{flag} ")),
+                "--{flag} is missing from USAGE"
+            );
+            let values: &[&str] = match flag {
+                "eps" => &["0.05"],
+                "eps-time" => &["0.2"],
+                "mx" => &["10"],
+                "my" => &["4"],
+                "mz" => &["3"],
+                "delta-x" => &["1.5"],
+                "delta-y" => &["2.5"],
+                "delta-z" => &["3.5"],
+                "merge" => &["0.20", "1e-1"],
+                "max-candidates" => &["5000"],
+                "deadline" => &["2.5"],
+                "max-memory" => &["64M"],
+                "threads" => &["3"],
+                "fanout" => &["pair"],
+                other => panic!("no sample value for --{other}"),
+            };
+            assert_eq!(values.len(), arity, "--{flag}");
+            let mut argv = vec!["http://127.0.0.1:1".to_string(), "data.tsv".to_string()];
+            argv.push(format!("--{flag}"));
+            argv.extend(values.iter().map(|v| v.to_string()));
+            let a = parse_with_params(&argv, SUBMIT_FLAGS, &[]).unwrap();
+            let local = mine_params_from(&a).unwrap();
+            assert_ne!(local, default, "--{flag} changed nothing");
+            let served = params_of_job(&Json::obj().with("params", job_params(&a)));
+            assert_eq!(served, Ok(local), "--{flag}");
+        }
     }
 
     /// Pins the daemon's `GET /metrics` exposition byte for byte: fixed

@@ -1,7 +1,7 @@
 //! Worker panic isolation and fault-injection plumbing.
 //!
 //! The mining pipeline fans work out at slice, column-pair, and DFS-branch
-//! granularity. [`isolate`] wraps each such unit in `catch_unwind`: a panic
+//! granularity. `isolate` wraps each such unit in `catch_unwind`: a panic
 //! inside one unit is downgraded to a structured [`WorkerFailure`] and the
 //! deterministic merge of the surviving units proceeds. Standalone phase
 //! entry points (outside [`mine`](crate::mine)) use a *propagating* log, so
@@ -81,7 +81,7 @@ impl std::fmt::Display for WorkerFailure {
 
 /// Collector of [`WorkerFailure`]s, shared across worker threads.
 ///
-/// In *propagating* mode (standalone phase entry points) [`isolate`] runs
+/// In *propagating* mode (standalone phase entry points) `isolate` runs
 /// the unit bare, so panics behave exactly as before this layer existed.
 #[derive(Debug)]
 pub struct FaultLog {
@@ -177,7 +177,7 @@ impl RunCtrl {
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -289,7 +289,7 @@ fn absorb_pair(
 /// Work items are single `(a, b)` pairs claimed from an atomic cursor; each
 /// worker owns a [`PairScratch`] so the hot path does no per-pair
 /// allocation. Computed ranges are merged on the calling thread in canonical
-/// pair order (see [`absorb_pair`]), so the output is byte-identical for
+/// pair order (see `absorb_pair`), so the output is byte-identical for
 /// every `workers` value.
 ///
 /// The deadline is polled before each pair, and — when `ctrl` collects

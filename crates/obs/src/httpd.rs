@@ -10,7 +10,7 @@
 //! `/progress`, `/healthz`) that `mine --metrics-addr` serves over one
 //! [`crate::metrics::Registry`] while the run lasts.
 //!
-//! The request parser ([`read_request`]) enforces the protocol-level
+//! The request parser (`read_request`) enforces the protocol-level
 //! robustness rules: the request head is capped (431 instead of unbounded
 //! buffering), bodies are read only up to a caller-set limit (413 past
 //! it), and only GET/POST/DELETE are admitted (405 otherwise). Dropping
@@ -242,9 +242,9 @@ pub fn scrape_handler(registry: Arc<Registry>) -> Handler {
 
 /// A generic HTTP/1.0 listener: the daemon's routes, or [`scrape_handler`].
 ///
-/// Each accepted connection is parsed ([`read_request`]) and handled on
+/// Each accepted connection is parsed (`read_request`) and handled on
 /// its own thread, so one slow client cannot wedge the daemon; at most
-/// [`MAX_CONNECTIONS`] run at once (the accept loop answers excess
+/// `MAX_CONNECTIONS` run at once (the accept loop answers excess
 /// connections 503 inline). The handler runs behind `catch_unwind`: a
 /// panic becomes a 500 response and the daemon keeps serving. Dropping
 /// the server stops the accept thread and waits (bounded by the I/O

@@ -30,6 +30,9 @@ run cargo test --quiet --workspace
 run cargo test --release --quiet -p tricluster-bitset -p tricluster-core
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Docs gate: every rustdoc warning (a link to a private item, an
+# ambiguous link) is an error.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Schema gate: a real `mine --report-json` run must emit a valid
 # tricluster.report/v2 document (validated in-process, no external tools).
