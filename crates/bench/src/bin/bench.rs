@@ -31,10 +31,12 @@
 //! per-worker schedule behind each wall time can be inspected in Perfetto.
 //!
 //! `kernel` microbenchmarks the range-graph pair kernel stage by stage
-//! (transpose, full pair, classify, find-ranges, bitset intersect) on
-//! synthetic single-slice workloads at several gene counts, printing
-//! ns-per-gene CSV; `--json` writes a `tricluster.kernel/v1` document and
-//! `--ledger DIR` archives it like a fig7 sweep (kind `bench`).
+//! (transpose, full pair, classify, find-ranges, and bitset intersect once
+//! per kernel build this CPU runs) on synthetic single-slice workloads at
+//! several gene counts, printing ns-per-gene CSV; `--json` writes a
+//! `tricluster.kernel/v1` document that also names the build dispatch picks
+//! at each gene count, and `--ledger DIR` archives it like a fig7 sweep
+//! (kind `bench`).
 
 use std::time::Duration;
 
@@ -331,8 +333,13 @@ fn run_kernel(rest: &[String]) -> i32 {
         let point = kernel::measure_point(&spec, Duration::from_millis(min_ms));
         for s in &point.stages {
             println!(
-                "{},{},{},{},{},{:.2}",
-                point.n_genes, point.pairs, point.edges, s.name, s.sweeps, s.ns_per_gene
+                "{},{},{},{},{},{:.4}",
+                point.n_genes,
+                point.pairs,
+                point.edges,
+                s.label(),
+                s.sweeps,
+                s.ns_per_gene
             );
         }
         points.push(point);

@@ -18,10 +18,12 @@
 //!   of the head of `compute_pair`);
 //! - `ranges` — [`find_ranges_into`] alone on pre-classified sign groups
 //!   (packed-key sort, window walk, chain split/patch, dedupe);
-//! - `intersect` — the chunked [`BitSet`] intersection kernels
-//!   (`intersect_into` + `intersection_count_at_least_hinted`) over the
-//!   gene-sets the workload actually emits, as the bicluster DFS drives
-//!   them.
+//! - `intersect` — the chunked bitset intersection kernels
+//!   (`intersect_into` + the bounded `intersection_count_at_least` at
+//!   `mx`) over the gene-sets the workload actually emits, as the
+//!   bicluster DFS drives them. One row per kernel [`Build`] this CPU can
+//!   run (`intersect/avx512bw`, `intersect/popcnt`, `intersect/portable`),
+//!   and each point names the build dispatch picks for its gene universe.
 //!
 //! `pair − classify − ranges` is therefore the residual spent on group
 //! bookkeeping, and `ranges` vs `pair` splits "sorting/windowing" from
@@ -38,7 +40,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use tricluster_bitset::BitSet;
+use tricluster_bitset::kernel::{builds, Build};
 use tricluster_core::obs::json::Json;
 use tricluster_core::range::{find_ranges_into, RangeScratch, RatioRange, SignGroup};
 use tricluster_core::rangegraph::{compute_pair, PairScratch, SliceColumns};
@@ -52,6 +54,8 @@ use crate::fig7_params;
 pub struct StageTime {
     /// Stage name (`transpose`, `pair`, `classify`, `ranges`, `intersect`).
     pub name: &'static str,
+    /// The bitset kernel build the stage ran (`intersect` rows only).
+    pub build: Option<&'static str>,
     /// Total wall-clock time across all sweeps.
     pub total_secs: f64,
     /// Number of timed sweeps over the whole workload.
@@ -64,15 +68,25 @@ impl StageTime {
     fn new(name: &'static str, total_secs: f64, sweeps: u64, units_per_sweep: u64) -> Self {
         StageTime {
             name,
+            build: None,
             total_secs,
             sweeps,
             ns_per_gene: total_secs * 1e9 / (sweeps as f64 * units_per_sweep as f64),
         }
     }
 
+    /// The stage's row label: its name, then `/build` when it has one.
+    pub fn label(&self) -> String {
+        match self.build {
+            Some(build) => format!("{}/{build}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+
     fn to_json(&self) -> Json {
         Json::obj()
             .with("stage", Json::Str(self.name.into()))
+            .maybe_with("build", self.build.map(|b| Json::Str(b.into())))
             .with("total_secs", Json::F64(self.total_secs))
             .with("sweeps", Json::U64(self.sweeps))
             .with("ns_per_gene", Json::F64(self.ns_per_gene))
@@ -91,6 +105,9 @@ pub struct KernelPoint {
     /// Ratio ranges the workload emits across all pairs (the `intersect`
     /// stage runs over these gene-sets).
     pub edges: usize,
+    /// The bitset kernel build dispatch picks for this point's gene-sets
+    /// on this CPU (`avx512bw`, `popcnt` or `portable`).
+    pub bitset_kernel: &'static str,
     /// Per-stage timings.
     pub stages: Vec<StageTime>,
 }
@@ -103,6 +120,7 @@ impl KernelPoint {
             .with("samples", Json::U64(self.n_samples as u64))
             .with("pairs", Json::U64(self.pairs as u64))
             .with("edges", Json::U64(self.edges as u64))
+            .with("bitset_kernel", Json::Str(self.bitset_kernel.into()))
             .with(
                 "stages",
                 Json::Arr(self.stages.iter().map(StageTime::to_json).collect()),
@@ -268,7 +286,8 @@ pub fn measure_point(spec: &SynthSpec, min_time: Duration) -> KernelPoint {
         stages.push(StageTime::new("ranges", secs, sweeps, pair_units));
     }
 
-    // intersect: the chunked bitset kernels over the emitted gene-sets.
+    // intersect: the chunked bitset kernels over the emitted gene-sets, in
+    // every build this CPU runs.
     let mut all: Vec<RatioRange> = Vec::new();
     {
         let mut scratch = PairScratch::default();
@@ -278,27 +297,22 @@ pub fn measure_point(spec: &SynthSpec, min_time: Duration) -> KernelPoint {
     }
     let edges = all.len();
     if edges >= 2 {
-        let counts: Vec<usize> = all.iter().map(|r| r.genes.count()).collect();
-        let mut inter = BitSet::new(n_genes);
-        let (secs, sweeps) = run_timed(min_time, || {
-            let mut acc = 0usize;
-            for i in 0..edges - 1 {
-                let (x, y) = (&all[i].genes, &all[i + 1].genes);
-                acc += inter.intersect_into(x, y);
-                acc += usize::from(x.intersection_count_at_least_hinted(
-                    y,
-                    params.min_genes,
-                    counts[i],
-                ));
-            }
-            black_box(acc);
-        });
-        stages.push(StageTime::new(
-            "intersect",
-            secs,
-            sweeps,
-            ((edges - 1) * n_genes) as u64,
-        ));
+        let mut inter = vec![0u64; n_genes.div_ceil(64)];
+        for build in builds() {
+            let (secs, sweeps) = run_timed(min_time, || {
+                let mut acc = 0usize;
+                for w in all.windows(2) {
+                    let (x, y) = (w[0].genes.as_blocks(), w[1].genes.as_blocks());
+                    acc += build.intersect_into(&mut inter, x, y);
+                    acc += usize::from(build.intersection_count_at_least(x, y, params.min_genes));
+                }
+                black_box(acc);
+            });
+            let units = ((edges - 1) * n_genes) as u64;
+            let mut stage = StageTime::new("intersect", secs, sweeps, units);
+            stage.build = Some(build.name());
+            stages.push(stage);
+        }
     }
 
     KernelPoint {
@@ -306,6 +320,7 @@ pub fn measure_point(spec: &SynthSpec, min_time: Duration) -> KernelPoint {
         n_samples,
         pairs: pairs.len(),
         edges,
+        bitset_kernel: Build::for_universe(n_genes).name(),
         stages,
     }
 }
@@ -379,6 +394,16 @@ mod tests {
         assert_eq!(point.pairs, 10);
         let names: Vec<_> = point.stages.iter().map(|s| s.name).collect();
         assert!(names.starts_with(&["transpose", "pair", "classify", "ranges"]));
+        // One intersect row per build this CPU runs, widest first.
+        let intersect: Vec<_> = point.stages[4..].iter().map(StageTime::label).collect();
+        let want: Vec<_> = builds()
+            .iter()
+            .map(|b| format!("intersect/{}", b.name()))
+            .collect();
+        assert_eq!(intersect, want);
+        // 80 genes are two blocks: below the wide build's floor.
+        assert_eq!(point.bitset_kernel, Build::for_universe(80).name());
+        assert_ne!(point.bitset_kernel, "avx512bw");
         for s in &point.stages {
             assert!(s.sweeps >= 1, "{}: at least one timed sweep", s.name);
             assert!(

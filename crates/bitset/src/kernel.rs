@@ -2,93 +2,78 @@
 //! operations, over raw `u64` block slices.
 //!
 //! Each kernel body is written once, `#[inline(always)]`, in [`portable`].
-//! The entries at this module's root compile that same body a second time
-//! inside a `#[target_feature(enable = "popcnt")]` function, and pick the
-//! build per call from the CPU: on an x86-64 CPU with the POPCNT instruction
-//! `count_ones` lowers to one instruction, where the baseline x86-64 target
-//! emits a bit-twiddling sequence of about a dozen. The choice follows an
-//! observed CPU property (`is_x86_feature_detected!`, cached by std after
-//! the first call), never a setting, and both builds return identical
-//! results. Other architectures run the portable build.
+//! On x86-64 the same body is compiled three times, and each call picks a
+//! [`Build`] from the CPU and the operand length:
+//!
+//! - **`avx512bw`** — inside `#[target_feature(enable = "avx512bw,popcnt")]`.
+//!   The compiler vectorizes the bodies over 512-bit registers (a `vpshufb`
+//!   nibble-table popcount and `vpsadbw` sums, eight blocks per step). Taken
+//!   when the CPU has AVX-512BW and the operands span at least [`LANES`]
+//!   blocks, one 512-bit vector. Shorter operands would run only the wide
+//!   build's masked tail, which measured slower than POPCNT.
+//! - **`popcnt`** — inside `#[target_feature(enable = "popcnt")]`, where
+//!   `count_ones` lowers to one instruction instead of the baseline x86-64
+//!   target's dozen of bit-twiddling. Taken for shorter operands, or when
+//!   the CPU lacks AVX-512BW.
+//! - **`portable`** — the crate's own target features: every other CPU and
+//!   architecture.
+//!
+//! The choice follows observed CPU and input properties
+//! (`is_x86_feature_detected!`, cached by std after the first call, and the
+//! slice length), never a setting, and every build returns identical
+//! results. [`builds`] lists the builds this CPU can run, so tests reach
+//! each one and not only the one dispatch picks.
 //!
 //! Block-width contract for every kernel: operands are equally long and the
 //! bits above the universe in the last block are zero (the `BitSet`
 //! invariant), so popcounts are exact.
 
-/// Block width of the unrolled kernels. Four independent `u64` lanes per
-/// iteration give the autovectorizer a fixed-shape inner loop (two 128-bit
-/// or one 256-bit op per AND) while keeping the early-exit checks of the
-/// bounded kernel at chunk granularity.
-pub const LANES: usize = 4;
+/// Blocks per chunk of the bounded kernel: one 512-bit vector of `u64`
+/// blocks. It is the early-exit granularity of
+/// [`portable::intersection_count_at_least`] (a reduction per chunk, so the
+/// wide build reduces one full register at a time) and the shortest operand
+/// the `avx512bw` build takes.
+pub const LANES: usize = 8;
 
 /// The kernel bodies, compiled for the crate's target features only. Public
-/// as the reference the dispatched entries are tested against.
+/// as the reference the other builds are tested against.
+///
+/// The bodies are plain `zip` / `count_ones` / `sum` loops so that each
+/// build's compiler vectorizes them at its own width; no body uses
+/// intrinsics or raw pointers.
 pub mod portable {
     use super::LANES;
 
     /// Population count of `blocks`.
     #[inline(always)]
     pub fn count(blocks: &[u64]) -> usize {
-        let mut acc = [0usize; LANES];
-        let mut chunks = blocks.chunks_exact(LANES);
-        for x in &mut chunks {
-            for l in 0..LANES {
-                acc[l] += x[l].count_ones() as usize;
-            }
-        }
-        for x in chunks.remainder() {
-            acc[0] += x.count_ones() as usize;
-        }
-        acc.iter().sum()
+        blocks.iter().map(|x| x.count_ones() as usize).sum()
     }
 
     /// Writes `a & b` into `dst` block by block and returns its population
     /// count. All three slices must be equally long.
     #[inline(always)]
     pub fn intersect_into(dst: &mut [u64], a: &[u64], b: &[u64]) -> usize {
-        let mut acc = [0usize; LANES];
-        let mut cd = dst.chunks_exact_mut(LANES);
-        let mut ca = a.chunks_exact(LANES);
-        let mut cb = b.chunks_exact(LANES);
-        for ((d, x), y) in (&mut cd).zip(&mut ca).zip(&mut cb) {
-            for l in 0..LANES {
-                let v = x[l] & y[l];
-                acc[l] += v.count_ones() as usize;
-                d[l] = v;
-            }
-        }
-        let tail = cd
-            .into_remainder()
-            .iter_mut()
-            .zip(ca.remainder())
-            .zip(cb.remainder());
-        for ((d, x), y) in tail {
+        let mut n = 0usize;
+        for ((d, x), y) in dst.iter_mut().zip(a).zip(b) {
             let v = x & y;
-            acc[0] += v.count_ones() as usize;
+            n += v.count_ones() as usize;
             *d = v;
         }
-        acc.iter().sum()
+        n
     }
 
     /// `|a ∩ b|`.
     #[inline(always)]
     pub fn intersection_count(a: &[u64], b: &[u64]) -> usize {
-        let mut acc = [0usize; LANES];
-        let mut ca = a.chunks_exact(LANES);
-        let mut cb = b.chunks_exact(LANES);
-        for (x, y) in (&mut ca).zip(&mut cb) {
-            for l in 0..LANES {
-                acc[l] += (x[l] & y[l]).count_ones() as usize;
-            }
-        }
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            acc[0] += (x & y).count_ones() as usize;
-        }
-        acc.iter().sum()
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x & y).count_ones() as usize)
+            .sum()
     }
 
     /// `|a ∩ b| >= threshold`, returning as soon as a [`LANES`]-block chunk
-    /// (or a tail block) brings the running count to `threshold`.
+    /// brings the running count to `threshold`.
     #[inline(always)]
     pub fn intersection_count_at_least(a: &[u64], b: &[u64], threshold: usize) -> bool {
         if threshold == 0 {
@@ -98,52 +83,139 @@ pub mod portable {
         let mut ca = a.chunks_exact(LANES);
         let mut cb = b.chunks_exact(LANES);
         for (x, y) in (&mut ca).zip(&mut cb) {
-            let mut chunk = 0u32;
-            for l in 0..LANES {
-                chunk += (x[l] & y[l]).count_ones();
-            }
-            seen += chunk as usize;
+            seen += intersection_count(x, y);
             if seen >= threshold {
                 return true;
             }
         }
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            seen += (x & y).count_ones() as usize;
-            if seen >= threshold {
-                return true;
-            }
-        }
-        false
+        seen + intersection_count(ca.remainder(), cb.remainder()) >= threshold
     }
 }
 
-/// Defines a dispatching entry for one [`portable`] kernel: the POPCNT
-/// build when the CPU has the instruction, the portable build otherwise.
+/// One compiled build of the kernels. A value names a build this CPU can
+/// run: the only ways to obtain one are [`Build::select`],
+/// [`Build::for_universe`] and [`builds`], which hand out an x86-64 build
+/// only after run-time detection observed its features.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Build(Kind);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    #[cfg(target_arch = "x86_64")]
+    Avx512bw,
+    #[cfg(target_arch = "x86_64")]
+    Popcnt,
+    Portable,
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx512bw() -> bool {
+    std::is_x86_feature_detected!("avx512bw") && std::is_x86_feature_detected!("popcnt")
+}
+
+impl Build {
+    /// The build the kernels take for operands of `blocks` blocks on this
+    /// CPU: `avx512bw` from [`LANES`] blocks up when the CPU has it, else
+    /// `popcnt` when the CPU has it, else `portable`.
+    #[inline]
+    pub fn select(blocks: usize) -> Build {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if blocks >= LANES && has_avx512bw() {
+                return Build(Kind::Avx512bw);
+            }
+            if std::is_x86_feature_detected!("popcnt") {
+                return Build(Kind::Popcnt);
+            }
+        }
+        let _ = blocks; // read only on x86-64
+        Build(Kind::Portable)
+    }
+
+    /// The build the kernels take for sets over a universe of `nbits`
+    /// indices ([`BitSet`](crate::BitSet)s of `nbits.div_ceil(64)` blocks).
+    pub fn for_universe(nbits: usize) -> Build {
+        Build::select(nbits.div_ceil(crate::BITS))
+    }
+
+    /// The build's name: `avx512bw`, `popcnt` or `portable`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx512bw => "avx512bw",
+            #[cfg(target_arch = "x86_64")]
+            Kind::Popcnt => "popcnt",
+            Kind::Portable => "portable",
+        }
+    }
+}
+
+/// Every build this CPU can run, widest first; `portable` is always last.
+pub fn builds() -> Vec<Build> {
+    let mut out = Vec::with_capacity(3);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if has_avx512bw() {
+            out.push(Build(Kind::Avx512bw));
+        }
+        if std::is_x86_feature_detected!("popcnt") {
+            out.push(Build(Kind::Popcnt));
+        }
+    }
+    out.push(Build(Kind::Portable));
+    out
+}
+
+/// Defines one [`portable`] kernel's entry at this module's root, which
+/// dispatches on [`Build::select`] of the length of `$len`, and the
+/// `Build` method that runs the kernel in a given build.
 macro_rules! dispatched {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;) => {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) -> $ret:ty; blocks = $len:ident;) => {
         $(#[$doc])*
         #[inline]
         pub fn $name($($arg: $ty),*) -> $ret {
-            #[cfg(target_arch = "x86_64")]
-            {
-                /// The portable kernel compiled with POPCNT enabled.
-                ///
-                /// # Safety
-                ///
-                /// The CPU must support POPCNT.
-                #[target_feature(enable = "popcnt")]
-                unsafe fn popcnt($($arg: $ty),*) -> $ret {
-                    portable::$name($($arg),*)
-                }
-                if std::is_x86_feature_detected!("popcnt") {
-                    // SAFETY: the one precondition of calling a
-                    // `#[target_feature]` function is that the CPU supports
-                    // the feature, which the detection above just observed.
-                    // The body is the safe portable kernel.
-                    return unsafe { popcnt($($arg),*) };
+            Build::select($len.len()).$name($($arg),*)
+        }
+
+        impl Build {
+            #[doc = concat!("[`", stringify!($name), "`] in this build.")]
+            #[inline]
+            pub fn $name(self, $($arg: $ty),*) -> $ret {
+                match self.0 {
+                    #[cfg(target_arch = "x86_64")]
+                    Kind::Avx512bw => {
+                        /// The portable kernel compiled with AVX-512BW. A
+                        /// call from outside a matching `#[target_feature]`
+                        /// context is `unsafe`: the CPU must have the
+                        /// features.
+                        #[target_feature(enable = "avx512bw,popcnt")]
+                        fn wide($($arg: $ty),*) -> $ret {
+                            portable::$name($($arg),*)
+                        }
+                        // SAFETY: the one precondition of calling a
+                        // `#[target_feature]` function is that the CPU
+                        // supports the features. A `Build` of this kind is
+                        // made only after `has_avx512bw` observed them, and
+                        // the body is the safe portable kernel.
+                        unsafe { wide($($arg),*) }
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    Kind::Popcnt => {
+                        /// The portable kernel compiled with POPCNT; as
+                        /// above, the CPU must have the instruction.
+                        #[target_feature(enable = "popcnt")]
+                        fn popcnt($($arg: $ty),*) -> $ret {
+                            portable::$name($($arg),*)
+                        }
+                        // SAFETY: as above; this kind is made only after
+                        // `is_x86_feature_detected!("popcnt")` observed the
+                        // instruction.
+                        unsafe { popcnt($($arg),*) }
+                    }
+                    Kind::Portable => portable::$name($($arg),*),
                 }
             }
-            portable::$name($($arg),*)
         }
     };
 }
@@ -151,21 +223,25 @@ macro_rules! dispatched {
 dispatched! {
     /// Population count of `blocks`; see [`portable::count`].
     fn count(blocks: &[u64]) -> usize;
+    blocks = blocks;
 }
 
 dispatched! {
     /// Writes `a & b` into `dst` and counts it; see
     /// [`portable::intersect_into`].
     fn intersect_into(dst: &mut [u64], a: &[u64], b: &[u64]) -> usize;
+    blocks = a;
 }
 
 dispatched! {
     /// `|a ∩ b|`; see [`portable::intersection_count`].
     fn intersection_count(a: &[u64], b: &[u64]) -> usize;
+    blocks = a;
 }
 
 dispatched! {
     /// `|a ∩ b| >= threshold` with early exit; see
     /// [`portable::intersection_count_at_least`].
     fn intersection_count_at_least(a: &[u64], b: &[u64], threshold: usize) -> bool;
+    blocks = a;
 }

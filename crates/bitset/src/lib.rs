@@ -12,6 +12,14 @@
 //! * subset / superset / disjointness tests,
 //! * iteration over set bits in ascending order.
 //!
+//! The counting operations run on the [`kernel`] module's popcount kernels.
+//! Each kernel body is written once and compiled in three builds: AVX-512BW
+//! (taken on CPUs that have it, for sets of at least [`kernel::LANES`] = 8
+//! blocks, i.e. universes above 448 indices), POPCNT (shorter sets, or CPUs
+//! without AVX-512BW) and portable (everything else). The build is picked
+//! per call from the CPU and the set length, and every build returns the
+//! same values.
+//!
 //! The universe size is fixed at construction; all binary operations require
 //! both operands to share a universe (checked with `debug_assert!` in release
 //! hot paths and a hard assert in the allocating constructors).
@@ -32,8 +40,8 @@
 #![warn(missing_docs)]
 
 mod iter;
-// The only unsafe code: the call into the POPCNT build of each kernel,
-// made after run-time CPU detection.
+// The only unsafe code: the calls into the AVX-512BW and POPCNT builds of
+// each kernel, made after run-time CPU detection.
 #[allow(unsafe_code)]
 pub mod kernel;
 mod pool;

@@ -137,13 +137,14 @@ proptest! {
     }
 }
 
-// ------------------------------------------- dispatched vs portable kernels --
+// ------------------------------------ every kernel build vs the model ------
 
-use tricluster_bitset::kernel::{self, portable, LANES};
+use tricluster_bitset::kernel::{self, builds, portable, LANES};
 
-/// Largest universe the kernel properties draw: 18 blocks, so every
-/// remainder of the [`LANES`]-block unrolling occurs.
-const MAX_UNIVERSE: usize = 1100;
+/// Largest universe the kernel properties draw: 66 blocks, above the
+/// paper's 63-block (4,000-gene) sets, so every build sees several full
+/// [`LANES`]-block chunks and every remainder.
+const MAX_UNIVERSE: usize = 4200;
 
 /// A set over `0..nbits` that is sparse (at most one element per block,
 /// the hinted test's membership path), moderate, or dense, with equal odds.
@@ -158,7 +159,7 @@ fn set_in(nbits: usize) -> impl Strategy<Value = BTreeSet<usize>> {
     })
 }
 
-/// A universe of 0–1100 bits and two sets over it.
+/// A universe of 0–[`MAX_UNIVERSE`] bits and two sets over it.
 fn sized_pair() -> impl Strategy<Value = (usize, BTreeSet<usize>, BTreeSet<usize>)> {
     (0usize..=MAX_UNIVERSE).prop_flat_map(|n| (Just(n), set_in(n), set_in(n)))
 }
@@ -171,22 +172,33 @@ proptest! {
         let sa = BitSet::from_indices(n, a.iter().copied());
         let sb = BitSet::from_indices(n, b.iter().copied());
         let (xa, xb) = (sa.as_blocks(), sb.as_blocks());
-        prop_assert_eq!(kernel::count(xa), portable::count(xa));
-        prop_assert_eq!(kernel::count(xa), a.len());
         let both = a.intersection(&b).count();
+        let want_blocks = sa.intersection(&sb);
+        prop_assert_eq!(kernel::count(xa), a.len());
         prop_assert_eq!(kernel::intersection_count(xa, xb), both);
-        prop_assert_eq!(portable::intersection_count(xa, xb), both);
-        // Both builds must fully overwrite a junk-filled destination.
-        let mut fast = vec![junk; xa.len()];
-        let mut slow = vec![!junk; xa.len()];
-        prop_assert_eq!(kernel::intersect_into(&mut fast, xa, xb), both);
-        prop_assert_eq!(portable::intersect_into(&mut slow, xa, xb), both);
-        prop_assert_eq!(&fast, &slow);
-        prop_assert_eq!(&fast[..], sa.intersection(&sb).as_blocks());
+        // Every build this CPU runs, not only the one dispatch picks for
+        // this length, must match the model.
+        for build in builds() {
+            let name = build.name();
+            prop_assert_eq!(build.count(xa), a.len(), "{}", name);
+            prop_assert_eq!(build.intersection_count(xa, xb), both, "{}", name);
+            // Each build must fully overwrite a junk-filled destination.
+            let mut dst = vec![junk; xa.len()];
+            prop_assert_eq!(build.intersect_into(&mut dst, xa, xb), both, "{}", name);
+            prop_assert_eq!(&dst[..], want_blocks.as_blocks(), "{}", name);
+            for t in 0..=both + 1 {
+                prop_assert_eq!(
+                    build.intersection_count_at_least(xa, xb, t),
+                    both >= t,
+                    "{} t={}", name, t
+                );
+            }
+        }
+        let mut dst = vec![!junk; xa.len()];
+        prop_assert_eq!(kernel::intersect_into(&mut dst, xa, xb), both);
+        prop_assert_eq!(&dst[..], want_blocks.as_blocks());
         for t in 0..=both + 1 {
-            let want = both >= t;
-            prop_assert_eq!(kernel::intersection_count_at_least(xa, xb, t), want, "t={}", t);
-            prop_assert_eq!(portable::intersection_count_at_least(xa, xb, t), want, "t={}", t);
+            prop_assert_eq!(kernel::intersection_count_at_least(xa, xb, t), both >= t, "t={}", t);
         }
     }
 
@@ -194,34 +206,37 @@ proptest! {
     fn hinted_test_matches_portable_count((n, a, b) in sized_pair()) {
         let sa = BitSet::from_indices(n, a.iter().copied());
         let sb = BitSet::from_indices(n, b.iter().copied());
-        let both = portable::intersection_count(sa.as_blocks(), sb.as_blocks());
+        let (xa, xb) = (sa.as_blocks(), sb.as_blocks());
+        let both = portable::intersection_count(xa, xb);
         for t in 0..=both + 1 {
             prop_assert_eq!(
                 sa.intersection_count_at_least_hinted(&sb, t, a.len()),
                 both >= t,
                 "n={} |a|={} t={}", n, a.len(), t
             );
+            // The hinted test's dense branch is the bounded kernel; check
+            // it in every build, not only the one dispatch picks.
+            for build in builds() {
+                prop_assert_eq!(
+                    build.intersection_count_at_least(xa, xb, t),
+                    both >= t,
+                    "{} n={} t={}", build.name(), n, t
+                );
+            }
         }
     }
 }
 
 /// Deterministic cover of both branches of the hinted test — the sparse
 /// membership path (`|self| ≤ blocks`) and the dense block scan — at
-/// universes around every block and [`LANES`] boundary.
+/// universes around every block and [`LANES`] boundary (512 bits is one
+/// [`LANES`]-block chunk, the wide build's floor), at the paper's 4,000
+/// genes, and in every build.
 #[test]
 fn hinted_sparse_and_dense_branches_match_portable() {
-    let universes = [
-        0,
-        1,
-        63,
-        64,
-        65,
-        64 * LANES - 1,
-        64 * LANES,
-        64 * LANES + 1,
-        257,
-        1023,
-        1100,
+    assert_eq!(64 * LANES, 512);
+    let universes: [usize; 18] = [
+        0, 1, 63, 64, 65, 255, 256, 257, 447, 448, 449, 511, 512, 513, 1023, 1100, 4000, 4001,
     ];
     for n in universes {
         let blocks = n.div_ceil(64);
@@ -245,11 +260,58 @@ fn hinted_sparse_and_dense_branches_match_portable() {
                     "n={n} |self|={} t={t}",
                     s.count()
                 );
-                assert_eq!(
-                    kernel::intersection_count_at_least(s.as_blocks(), other.as_blocks(), t),
-                    both >= t
-                );
+                for build in builds() {
+                    assert_eq!(
+                        build.intersection_count_at_least(s.as_blocks(), other.as_blocks(), t),
+                        both >= t,
+                        "{} n={n} t={t}",
+                        build.name()
+                    );
+                }
             }
         }
     }
+}
+
+/// `builds` lists what this CPU runs, widest first, ending in `portable`;
+/// dispatch picks from that list by operand length.
+#[test]
+fn builds_end_in_portable_and_dispatch_picks_from_them() {
+    let all = builds();
+    let names: Vec<_> = all.iter().map(|b| b.name()).collect();
+    let mut want = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        let popcnt = std::is_x86_feature_detected!("popcnt");
+        if popcnt && std::is_x86_feature_detected!("avx512bw") {
+            want.push("avx512bw");
+        }
+        if popcnt {
+            want.push("popcnt");
+        }
+    }
+    want.push("portable");
+    assert_eq!(names, want, "every build the CPU runs, and only those");
+    for blocks in [0, 1, LANES - 1, LANES, 63] {
+        let chosen = kernel::Build::select(blocks);
+        assert!(
+            all.contains(&chosen),
+            "{blocks} blocks: {chosen:?} not in {names:?}"
+        );
+        if blocks < LANES {
+            assert_ne!(
+                chosen.name(),
+                "avx512bw",
+                "{blocks} blocks is below the floor"
+            );
+        } else {
+            // From the floor up dispatch takes the widest build.
+            assert_eq!(chosen, all[0], "{blocks} blocks");
+        }
+    }
+    // A universe maps to its block count: 448 indices are 7 blocks, 449 are 8.
+    let universe = kernel::Build::for_universe;
+    assert_eq!(universe(448), kernel::Build::select(LANES - 1));
+    assert_eq!(universe(449), kernel::Build::select(LANES));
+    assert_eq!(universe(4000), kernel::Build::select(63));
 }

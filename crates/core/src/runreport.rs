@@ -23,6 +23,7 @@
 
 use crate::metrics::Metrics;
 use crate::miner::MiningResult;
+use tricluster_bitset::kernel::Build;
 use tricluster_matrix::Matrix3;
 use tricluster_obs::json::Json;
 use tricluster_obs::{names, RunReport};
@@ -75,7 +76,13 @@ pub fn report_to_json_v2(
         .with("histograms", histograms_json(report))
         .with("memory", memory_json(report))
         .with("search_space", search_space_json(report))
-        .with("meta", meta_json(result.fanout.threads))
+        .with(
+            "meta",
+            meta_json(result.fanout.threads).with(
+                "bitset_kernel",
+                Json::Str(Build::for_universe(m.n_genes()).name().into()),
+            ),
+        )
         .maybe_with("fault", fault_json(result))
 }
 
@@ -421,6 +428,15 @@ pub fn validate_v2(doc: &Json) -> Result<(), String> {
         if meta.get("threads").and_then(Json::as_u64).is_none() {
             return Err("meta.threads missing or not an integer".into());
         }
+        // Optional within `meta`: reports archived before it existed lack it.
+        if let Some(build) = meta.get("bitset_kernel") {
+            if !matches!(build.as_str(), Some("avx512bw" | "popcnt" | "portable")) {
+                return Err(format!(
+                    "meta.bitset_kernel is {}, want avx512bw, popcnt or portable",
+                    build.render()
+                ));
+            }
+        }
     }
     // Optional `fault` section: present exactly when the run degraded.
     if let Some(fault) = doc.get("fault") {
@@ -629,6 +645,15 @@ mod tests {
         let host = meta.get("host").and_then(Json::as_str).expect("host");
         assert!(host.contains(std::env::consts::OS), "{host}");
         assert_eq!(meta.get("threads").and_then(Json::as_u64), Some(2));
+        // Table 1's 10 genes are one block, below the wide build's floor.
+        let build = meta.get("bitset_kernel").and_then(Json::as_str);
+        assert_eq!(build, Some(Build::for_universe(10).name()));
+        assert_ne!(build, Some("avx512bw"));
+        assert_eq!(
+            Build::for_universe(4000),
+            tricluster_bitset::kernel::builds()[0],
+            "the paper's 63-block gene-sets take the widest build"
+        );
         // `git` is best-effort: when present it must look like a hash
         if let Some(git) = meta.get("git").and_then(Json::as_str) {
             assert!(
@@ -659,6 +684,20 @@ mod tests {
                 .with("host", Json::Str("h".into())),
         );
         assert!(validate_v2(&no_threads).unwrap_err().contains("threads"));
+        // `bitset_kernel` is optional (`meta_json` alone, as written before
+        // it existed, validates), but must name a build when present.
+        let meta_without = meta_json(2);
+        assert_eq!(validate_v2(&replace(&doc, "meta", &meta_without)), Ok(()));
+        let unknown = replace(
+            &doc,
+            "meta",
+            &meta_without
+                .clone()
+                .with("bitset_kernel", Json::Str("avx2".into())),
+        );
+        assert!(validate_v2(&unknown)
+            .unwrap_err()
+            .contains("meta.bitset_kernel"));
     }
 
     #[test]

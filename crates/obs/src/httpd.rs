@@ -138,8 +138,10 @@ fn reason(status: u16) -> &'static str {
 /// to write: 431 when the head outgrows [`MAX_REQUEST_BYTES`], 400 on a
 /// malformed request line or `Content-Length`, 405 for any method other
 /// than GET/POST/DELETE, 413 when the declared body exceeds `max_body`.
-/// `Ok(None)` means the client closed before sending a full head.
-fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Option<Request>, Response> {
+/// `Ok(None)` means the client closed before sending a full head. Generic
+/// over [`Read`] because it only reads: the server hands it the connection,
+/// the fuzz test an in-memory byte stream.
+fn read_request<R: Read>(stream: &mut R, max_body: usize) -> Result<Option<Request>, Response> {
     let io_reject = |_| Response::text(400, "request read failed\n");
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
@@ -785,5 +787,208 @@ mod tests {
         assert_eq!(retry.total_backoff, Duration::from_millis(3));
         let err = retry.outcome.unwrap_err();
         assert!(err.contains("cannot connect"), "{err}");
+    }
+
+    // --------------------------------------------------- hostile heads --
+
+    use proptest::prelude::*;
+
+    /// Hands out `data` in reads of at most `step` bytes, then end of
+    /// stream, like a client that trickles its request and hangs up.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Parses `bytes` and checks the documented contract: no panic, and
+    /// either a request (admitted method, body within `max_body`) or one
+    /// of the 400/405/413/431 rejections.
+    fn parse_within_contract(bytes: &[u8], step: usize, max_body: usize) -> TestCaseResult {
+        let mut stream = Trickle { data: bytes, step };
+        let parsed = catch_unwind(AssertUnwindSafe(|| read_request(&mut stream, max_body)));
+        let shown = || String::from_utf8_lossy(&bytes[..bytes.len().min(200)]).into_owned();
+        match parsed {
+            Err(_) => Err(TestCaseError::fail(format!("panicked on {:?}", shown()))),
+            Ok(Ok(None)) => {
+                prop_assert!(bytes.is_empty(), "no request from {:?}", shown());
+                Ok(())
+            }
+            Ok(Ok(Some(req))) => {
+                prop_assert!(["GET", "POST", "DELETE"].contains(&req.method.as_str()));
+                prop_assert!(req.body.len() <= max_body, "body past the limit");
+                prop_assert!(!req.path.contains('?'), "query string kept");
+                Ok(())
+            }
+            Ok(Err(resp)) => {
+                prop_assert!(
+                    [400, 405, 413, 431].contains(&resp.status),
+                    "status {} for {:?}",
+                    resp.status,
+                    shown()
+                );
+                Ok(())
+            }
+        }
+    }
+
+    const METHODS: &[&str] = &[
+        "GET",
+        "POST",
+        "DELETE",
+        "PUT",
+        "HEAD",
+        "get",
+        "",
+        "POST POST",
+    ];
+
+    /// `Content-Length` values: valid, negative, overflowing, malformed.
+    const LENGTHS: &[&str] = &[
+        "0",
+        "5",
+        "17",
+        " 12 ",
+        "-1",
+        "+3",
+        "18446744073709551616",
+        "99999999999999999999999",
+        "1e3",
+        "",
+        "65537",
+    ];
+
+    /// Head terminators: the real one, bare newlines, none at all.
+    const ENDS: &[&str] = &["\r\n\r\n", "\n\n", "\r\n", ""];
+
+    /// A request head with duplicate lengths, padding that can outgrow
+    /// [`MAX_REQUEST_BYTES`], any terminator, and a body that may stop
+    /// short of, match or overrun its declared length.
+    fn shaped_request() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0..METHODS.len(),
+            proptest::collection::vec(0..LENGTHS.len(), 0..3),
+            0usize..12_000,
+            0..ENDS.len(),
+            0usize..40,
+        )
+            .prop_map(|(method, lengths, pad, end, body)| {
+                let mut head = format!("{} /jobs?x=1 HTTP/1.1\r\nHost: h\r\n", METHODS[method]);
+                for &i in &lengths {
+                    head.push_str(&format!("Content-Length: {}\r\n", LENGTHS[i]));
+                }
+                if pad > 0 {
+                    head.push_str(&format!("X-Pad: {}\r\n", "a".repeat(pad)));
+                }
+                head.push_str(ENDS[end]);
+                let mut bytes = head.into_bytes();
+                bytes.extend(std::iter::repeat_n(b'b', body));
+                bytes
+            })
+    }
+
+    /// Fragments of request heads that random bytes rarely spell out.
+    const TOKENS: &[&str] = &[
+        "GET ",
+        "POST ",
+        "DELETE ",
+        "OPTIONS ",
+        "/jobs",
+        "/metrics?format=x",
+        " HTTP/1.1",
+        "\r\n",
+        "\r\n\r\n",
+        "\n",
+        "\r",
+        ":",
+        "Content-Length:",
+        "content-length: ",
+        "-1",
+        "18446744073709551616",
+        "7",
+        " ",
+        "é",
+        "\u{0}",
+    ];
+
+    /// Token soup: each part is a token, one arbitrary byte, or a 1 KiB
+    /// run that pushes the head past [`MAX_REQUEST_BYTES`].
+    fn token_head() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec((0usize..TOKENS.len() + 4, 0u32..256), 0..120).prop_map(|parts| {
+            let mut out = Vec::new();
+            for (pick, byte) in parts {
+                match TOKENS.get(pick) {
+                    Some(token) => out.extend_from_slice(token.as_bytes()),
+                    None if byte == 0 => out.extend(std::iter::repeat_n(b'h', 1024)),
+                    None => out.push(byte as u8),
+                }
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_heads_get_a_request_or_a_documented_rejection(
+            shaped in shaped_request(),
+            soup in token_head(),
+            step in 1usize..2048,
+            max_body in 0usize..64,
+        ) {
+            parse_within_contract(&shaped, step, max_body)?;
+            parse_within_contract(&soup, step, max_body)?;
+            // A valid head cut short anywhere: a truncated head or body.
+            let cut = step % (shaped.len() + 1);
+            parse_within_contract(&shaped[..cut], step, max_body)?;
+        }
+    }
+
+    #[test]
+    fn shaped_requests_meet_each_documented_status() {
+        let parse = |bytes: &[u8], max_body| {
+            read_request(
+                &mut Trickle {
+                    data: bytes,
+                    step: 7,
+                },
+                max_body,
+            )
+        };
+        let status = |bytes: &[u8]| parse(bytes, 16).err().map(|r| r.status);
+        let ok = parse(
+            b"POST /jobs?x=1 HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcdef",
+            16,
+        );
+        let req = ok.expect("valid request").expect("a request");
+        assert_eq!((req.path.as_str(), &req.body[..]), ("/jobs", &b"abc"[..]));
+        assert_eq!(status(b"PUT / HTTP/1.1\r\n\r\n"), Some(405));
+        assert_eq!(
+            status(b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"),
+            Some(400)
+        );
+        let overflow = b"POST / HTTP/1.1\r\nContent-Length: 18446744073709551616\r\n\r\n";
+        assert_eq!(status(overflow), Some(400));
+        assert_eq!(
+            status(b"POST / HTTP/1.1\r\nContent-Length: 17\r\n\r\n"),
+            Some(413)
+        );
+        assert_eq!(
+            status(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc"),
+            Some(400)
+        );
+        assert_eq!(status(b"GET / HTTP/1.1\r\n"), Some(400));
+        let long = [b'h'; MAX_REQUEST_BYTES + 1];
+        assert_eq!(status(&long), Some(431));
+        assert!(matches!(parse(b"", 16), Ok(None)));
     }
 }

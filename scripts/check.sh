@@ -24,10 +24,15 @@ if [[ $fast -eq 0 ]]; then
     run cargo build --release --offline --manifest-path servebench/Cargo.toml
 fi
 run cargo test --quiet --workspace
-# The bitset kernels dispatch at run time to a POPCNT build (the crate's
-# only unsafe code) and the miner's hot paths lean on release-mode integer
-# semantics; test both crates in the optimised build too, not only debug.
+# The bitset kernels dispatch at run time to an AVX-512BW or a POPCNT
+# build (the crate's only unsafe code) and the miner's hot paths lean on
+# release-mode integer semantics; test both crates in the optimised build
+# too, not only debug.
 run cargo test --release --quiet -p tricluster-bitset -p tricluster-core
+# Work gate: the paper's default Figure 7 point must do exactly the pinned
+# work (range-graph edges, DFS nodes, gene-set combos, TRICLUSTER
+# extensions), at 1 and 2 threads. Release only: debug builds skip it.
+run cargo test --release --quiet -p tricluster-bench --test paper_point
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 # Docs gate: every rustdoc warning (a link to a private item, an
